@@ -33,12 +33,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = save_store(compiled, Path(tmp) / "guadalupe.cqs", n_shards=4)
 
-        # workers=2 routes cold-miss decodes through a pool of decode
-        # *processes* (shared-memory result handoff); warm cache hits
-        # never touch it.  CLI twin of the flag: `--workers 2`.
-        with PulseServer(
-            store, cache_capacity=len(store), workers=2
-        ) as serving:
+        # Cold misses decode in-process under the shard's single-flight
+        # lock; warm hits are a cache lookup.
+        with PulseServer(store, cache_capacity=len(store)) as serving:
             # CLI twin: `repro serve-net guadalupe.cqs --port 7401`.
             with serve_in_thread(serving, max_inflight=16) as handle:
                 host, port = handle.address
@@ -85,12 +82,6 @@ def main() -> None:
                     f"{stats.pulses_served} pulses, "
                     f"{stats.coalesced_keys} coalesced, "
                     f"{stats.overloads} overloads"
-                )
-                pool = serving.stats().pool
-                print(
-                    f"decode pool: {pool['workers']} workers, "
-                    f"{pool['jobs_ok']} jobs, {pool['shm_jobs']} via "
-                    f"shared memory, {pool['worker_deaths']} deaths"
                 )
 
 

@@ -42,7 +42,7 @@ def main() -> None:
         # or an incident; production wants the default 1% (see the
         # README's overhead guidance).  CLI twin:
         # `repro serve-net bogota.cqs --trace-sample-rate 1.0`.
-        with PulseServer(store, cache_capacity=len(store), workers=0) as serving:
+        with PulseServer(store, cache_capacity=len(store)) as serving:
             with serve_in_thread(serving, trace_sample_rate=1.0) as handle:
                 host, port = handle.address
 

@@ -7,7 +7,6 @@ stable namespace, end to end in read-path order::
     persist      -> save_store / open_store / ShardedStore
     serve        -> PulseServer / PulseCache (in-process)
                     NetPulseServer / serve_in_thread (CQN1 socket tier)
-                    DecodePool (multi-process cold-miss decode workers)
     consume      -> PulseClient / AsyncPulseClient
     measure      -> run_closed_loop / run_open_loop / LoadReport
     extend       -> Codec / register_codec / list_codecs / get_codec
@@ -40,7 +39,6 @@ from typing import Union
 from repro.version import __version__
 from repro.errors import (
     CompressionError,
-    DecodeWorkerError,
     DeviceError,
     ProtocolError,
     ReproError,
@@ -68,7 +66,6 @@ from repro.store import (
     PulseCache,
     PulseServer,
     ShardedStore,
-    StoreHandle,
     load_trace,
     open_store,
     save_store,
@@ -76,10 +73,8 @@ from repro.store import (
 )
 from repro.serve_net import (
     AsyncPulseClient,
-    DecodePool,
     LoadReport,
     NetPulseServer,
-    PoolStats,
     PulseClient,
     parse_address,
     run_closed_loop,
@@ -94,7 +89,6 @@ __all__ = [
     "CompressionError",
     "DeviceError",
     "StoreError",
-    "DecodeWorkerError",
     "ProtocolError",
     "ServerOverloadedError",
     # Devices and waveforms.
@@ -119,7 +113,6 @@ __all__ = [
     "compile_library",
     # Store + in-process serving.
     "ShardedStore",
-    "StoreHandle",
     "save_store",
     "open_store",
     "PulseCache",
@@ -129,8 +122,6 @@ __all__ = [
     # Network serving tier.
     "NetPulseServer",
     "serve_in_thread",
-    "DecodePool",
-    "PoolStats",
     "PulseClient",
     "AsyncPulseClient",
     "parse_address",

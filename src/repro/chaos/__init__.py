@@ -15,7 +15,6 @@ multi-device sweep.
 
 from repro.chaos.faults import (
     FAULT_KINDS,
-    POOL_FAULT_KINDS,
     WRITE_FAULT_KINDS,
     FaultPlan,
     FaultyStore,
@@ -25,7 +24,6 @@ from repro.chaos.runner import CHAOS_SCHEMA, ChaosReport, run_chaos
 
 __all__ = [
     "FAULT_KINDS",
-    "POOL_FAULT_KINDS",
     "WRITE_FAULT_KINDS",
     "FaultPlan",
     "FaultyStore",

@@ -53,7 +53,6 @@ from repro.store.sharded import ShardedStore, normalize_key
 
 __all__ = [
     "FAULT_KINDS",
-    "POOL_FAULT_KINDS",
     "WRITE_FAULT_KINDS",
     "FaultPlan",
     "FaultyStore",
@@ -64,14 +63,6 @@ _Key = Tuple[str, Tuple[int, ...]]
 #: Every read-path fault kind a plan may schedule, in default rotation
 #: order.
 FAULT_KINDS = ("truncate", "bitflip", "map_oserror", "slow_io")
-
-#: Fault kinds the runner injects at the :class:`DecodePool` level
-#: rather than through :class:`FaultyStore` -- decode workers open the
-#: store themselves in another process, out of a wrapper's reach, so
-#: these are delivered as real SIGKILLs (``worker_kill``) and a slab
-#: too small for any batch (``shm_exhaust``, forcing the pipe-fallback
-#: path).  See :func:`repro.chaos.runner.run_chaos`.
-POOL_FAULT_KINDS = ("worker_kill", "shm_exhaust")
 
 #: Fault kinds the runner injects into the CQS2 *commit protocol*
 #: (:class:`repro.store.writable.StoreWriter`) during the write-storm

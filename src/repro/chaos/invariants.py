@@ -23,8 +23,7 @@ error.  It asserts the properties that must hold anyway:
 * **Metric consistency.**  The metrics registry and the legacy stats
   dataclasses are one set of books: after quiesce the registry
   counters must agree with the ``as_dict`` surfaces
-  (``cache.hits + cache.misses == cache.lookups``, pool
-  ``jobs_ok + jobs_failed == jobs_submitted``).  A registry that
+  (``cache.hits + cache.misses == cache.lookups``).  A registry that
   drifts from the stats it claims to back is a violation.
 
 Violations accumulate (thread-safely) as human-readable strings;
@@ -235,21 +234,6 @@ class InvariantChecker:
         ok &= _expect(
             "server.shard_fills", server_stats.shard_fills, "ServerStats.shard_fills"
         )
-        pool = server_stats.pool
-        if pool is not None:
-            submitted = counters.get("pool.jobs_submitted", 0)
-            jobs_ok = counters.get("pool.jobs_ok", 0)
-            jobs_failed = counters.get("pool.jobs_failed", 0)
-            if jobs_ok + jobs_failed != submitted:
-                self._fail(
-                    f"metrics: pool jobs_ok {jobs_ok} + jobs_failed "
-                    f"{jobs_failed} != jobs_submitted {submitted}"
-                )
-                ok = False
-            ok &= _expect("pool.jobs_ok", pool["jobs_ok"], "PoolStats.jobs_ok")
-            ok &= _expect(
-                "pool.jobs_failed", pool["jobs_failed"], "PoolStats.jobs_failed"
-            )
         if net_stats is not None:
             ok &= _expect("net.fetches", net_stats.fetches, "NetServerStats.fetches")
             ok &= _expect(

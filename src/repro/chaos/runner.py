@@ -15,21 +15,10 @@ One :func:`run_chaos` call is four phases over a single store:
    ``max_inflight`` so overload shedding runs too) and client threads
    repeat the exercise over the wire, mixing in requests for keys the
    store does not hold.
-3. **Pool storm** (``decode_workers > 0``).  A server routes cold
-   fills through a :class:`~repro.serve_net.workers.DecodePool` while
-   a killer thread SIGKILLs live decode workers mid-job
-   (``worker_kill``) and a deliberately tiny shared-memory slab forces
-   the pipe-transport fallback (``shm_exhaust``).  Kills must surface
-   only as typed :class:`~repro.errors.DecodeWorkerError` on the
-   victim job's keys -- never a hang, never an untyped escape -- and a
-   post-storm full-catalog read through the same (respawned) pool must
-   be bit-identical.  This phase runs over the *clean* store: workers
-   open the store themselves in child processes, where a
-   :class:`~repro.chaos.faults.FaultyStore` wrapper cannot reach.
-4. **Recovery.**  Injection pauses and every key is read once more --
+3. **Recovery.**  Injection pauses and every key is read once more --
    a store that took faults must still serve its whole catalog
    bit-identically.
-5. **Write storm** (``write_commits > 0``).  A second copy of the
+4. **Write storm** (``write_commits > 0``).  A second copy of the
    store goes writable: a :class:`~repro.store.StoreWriter` commits
    seeded recalibrations (puts, deletes, re-adds) while reader threads
    fetch and periodically adopt new generations via
@@ -52,10 +41,8 @@ JSON-able; ``report.ok`` is the CI gate.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import random
-import signal
 import tempfile
 import threading
 import time
@@ -68,7 +55,7 @@ from repro.chaos.faults import WRITE_FAULT_KINDS, FaultPlan, FaultyStore
 from repro.chaos.invariants import InvariantChecker
 from repro.compression.pipeline import decompress_waveform
 from repro.core.compiler import CompaqtCompiler
-from repro.errors import ChaosError, DecodeWorkerError, ReproError, StoreError
+from repro.errors import ChaosError, ReproError, StoreError
 from repro.perf.compression_bench import resolve_device
 from repro.pulses.waveform import Waveform
 from repro.serve_net.client import PulseClient
@@ -83,7 +70,7 @@ __all__ = ["ChaosReport", "run_chaos"]
 
 _Key = Tuple[str, Tuple[int, ...]]
 
-CHAOS_SCHEMA = "compaqt-chaos-soak/v2"
+CHAOS_SCHEMA = "compaqt-chaos-soak/v3"
 
 
 @dataclass
@@ -108,9 +95,6 @@ class ChaosReport:
     violations: List[str] = field(default_factory=list)
     server_stats: Dict = field(default_factory=dict)
     net_stats: Dict = field(default_factory=dict)
-    decode_workers: int = 0
-    requests_pool: int = 0
-    pool_stats: Dict = field(default_factory=dict)
     write_commits: int = 0
     commits_done: int = 0
     requests_rw: int = 0
@@ -142,9 +126,6 @@ class ChaosReport:
             "violations": list(self.violations),
             "server_stats": self.server_stats,
             "net_stats": self.net_stats,
-            "decode_workers": self.decode_workers,
-            "requests_pool": self.requests_pool,
-            "pool_stats": self.pool_stats,
             "write_commits": self.write_commits,
             "commits_done": self.commits_done,
             "requests_rw": self.requests_rw,
@@ -299,110 +280,6 @@ def _net_phase(
     checker.check_net(stats)
     checker.check_metrics(snapshot, server.stats(), net_stats=stats)
     return sum(requests), stats.as_dict()
-
-
-def _pool_phase(
-    store,
-    keys: List[_Key],
-    checker: InvariantChecker,
-    seed: int,
-    threads: int,
-    ops_per_thread: int,
-    batch_size: int,
-    decode_workers: int,
-) -> Tuple[int, int, Dict]:
-    """SIGKILL storm on the decode pool; returns (requests, kills, stats).
-
-    The cache is sized below the catalog so evictions keep sending cold
-    fills through the pool, and the slab is sized below most batches so
-    the ``shm_exhaust`` fallback path runs alongside the kills.
-    """
-    requests = [0] * threads
-    kills = [0]
-    done = threading.Event()
-
-    with PulseServer(
-        store,
-        cache_capacity=max(2, len(keys) // 3),
-        max_workers=4,
-        workers=decode_workers,
-        shm_limit=4096,
-    ) as server:
-        pool = server.pool
-        assert pool is not None
-
-        def killer() -> None:
-            rng = random.Random((seed << 4) ^ 0xD1E)
-            while not done.wait(0.03):
-                pids = pool.pids
-                if not pids:
-                    continue
-                try:
-                    os.kill(pids[rng.randrange(len(pids))], signal.SIGKILL)
-                    kills[0] += 1
-                except OSError:
-                    pass
-
-        def worker(worker_id: int) -> None:
-            rng = random.Random((seed << 12) ^ worker_id)
-            for _ in range(ops_per_thread):
-                batch = [
-                    keys[rng.randrange(len(keys))]
-                    for _ in range(1 + rng.randrange(batch_size))
-                ]
-                requests[worker_id] += len(batch)
-                try:
-                    waveforms = server.fetch_batch(batch)
-                except Exception as exc:
-                    checker.note_error(tuple(batch[:2]), exc)
-                else:
-                    for key, waveform in zip(batch, waveforms):
-                        checker.check_identity(key, waveform)
-                checker.check_cache(server.cache.stats())
-
-        killer_thread = threading.Thread(target=killer, name="chaos-killer")
-        workers = [
-            threading.Thread(target=worker, args=(i,), name=f"chaos-pool-{i}")
-            for i in range(threads)
-        ]
-        killer_thread.start()
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join()
-        done.set()
-        killer_thread.join()
-
-        # Post-storm: the (respawned) pool must still serve the whole
-        # catalog bit-identically.  A SIGKILL sent in the storm's last
-        # instants can land *after* the killer thread is joined, so one
-        # read may legitimately eat a trailing DecodeWorkerError while
-        # the lane respawns -- retry past those; only repeated failure
-        # is a violation.
-        for attempt in range(3):
-            try:
-                waveforms = server.fetch_batch(keys)
-            except DecodeWorkerError as exc:
-                checker.note_error("pool-recovery", exc)
-                if attempt == 2:
-                    checker.violations.append(
-                        f"pool storm: post-kill catalog read failed "
-                        f"{attempt + 1} times: {type(exc).__name__}: {exc}"
-                    )
-            except Exception as exc:
-                checker.note_error("pool-recovery", exc)
-                checker.violations.append(
-                    f"pool storm: post-kill catalog read failed: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                break
-            else:
-                for key, waveform in zip(keys, waveforms):
-                    checker.check_identity(key, waveform)
-                break
-        checker.check_metrics(server.metrics_snapshot(), server.stats())
-        pool_stats = pool.stats().as_dict()
-    return sum(requests), kills[0], pool_stats
 
 
 class _VersionedOracle:
@@ -752,7 +629,6 @@ def run_chaos(
     batch_size: int = 6,
     plan: Optional[FaultPlan] = None,
     store_dir: Optional[pathlib.Path] = None,
-    decode_workers: int = 2,
     trace_sample_rate: float = 0.0,
     write_commits: int = 12,
     write_plan: Optional[FaultPlan] = None,
@@ -760,8 +636,7 @@ def run_chaos(
     """Run the full chaos/soak harness; never raises on *found* faults.
 
     Violations land in the report (``report.ok``); only harness misuse
-    (bad arguments, unbuildable device) raises.  ``decode_workers``
-    sizes the pool-storm phase (0 skips it).  ``trace_sample_rate``
+    (bad arguments, unbuildable device) raises.  ``trace_sample_rate``
     turns on request tracing in the networked phase (1.0 = trace every
     fetch) -- the chaos CI job runs at full sampling so the tracing
     path itself soaks under faults.  ``write_commits`` sizes the
@@ -771,8 +646,6 @@ def run_chaos(
     """
     if threads < 1 or ops_per_thread < 1 or net_clients < 0 or batch_size < 1:
         raise ChaosError("threads, ops_per_thread and batch_size must be >= 1")
-    if decode_workers < 0:
-        raise ChaosError(f"decode_workers must be >= 0, got {decode_workers}")
     if write_commits < 0:
         raise ChaosError(f"write_commits must be >= 0, got {write_commits}")
     plan = plan if plan is not None else FaultPlan(seed=seed)
@@ -819,17 +692,7 @@ def run_chaos(
                         trace_sample_rate=trace_sample_rate,
                     )
 
-            # Phase 3: SIGKILL storm on the decode-worker pool, over the
-            # clean store (workers re-open it in child processes, where
-            # the FaultyStore wrapper cannot reach).
-            requests_pool, kills, pool_stats = 0, 0, {}
-            if decode_workers:
-                requests_pool, kills, pool_stats = _pool_phase(
-                    store, keys, checker, seed, threads,
-                    max(1, ops_per_thread // 2), batch_size, decode_workers,
-                )
-
-            # Phase 4: recovery -- injection off, every key must still
+            # Phase 3: recovery -- injection off, every key must still
             # serve bit-identically.
             recovery_reads = 0
             with faulty.calm():
@@ -853,7 +716,7 @@ def run_chaos(
                         recovery_server.stats(),
                     )
 
-            # Phase 5: the write storm -- commit-protocol faults over a
+            # Phase 4: the write storm -- commit-protocol faults over a
             # separate writable copy while readers adopt generations.
             requests_rw, commits_done, rw_generation = 0, 0, 0
             write_faults: Dict[str, int] = {}
@@ -868,9 +731,6 @@ def run_chaos(
         faulty.detach()
 
     faults_injected = dict(faulty.faults_injected)
-    if decode_workers:
-        faults_injected["worker_kill"] = kills
-        faults_injected["shm_exhaust"] = int(pool_stats.get("fallback_jobs", 0))
     for kind, count in write_faults.items():
         faults_injected[kind] = count
 
@@ -893,9 +753,6 @@ def run_chaos(
         violations=list(checker.violations),
         server_stats=server_stats,
         net_stats=net_stats,
-        decode_workers=decode_workers,
-        requests_pool=requests_pool,
-        pool_stats=pool_stats,
         write_commits=write_commits,
         commits_done=commits_done,
         requests_rw=requests_rw,

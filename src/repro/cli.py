@@ -10,10 +10,10 @@ Usage::
     python -m repro bench --quick --codecs int-DCT-W,delta
     python -m repro bench --serving --quick
     python -m repro bench --network --quick
-    python -m repro bench --network --scaling --workers 1,2,4 --check
+    python -m repro bench --network --check
     python -m repro pack guadalupe --shards 4 --codec int-DCT-W
     python -m repro serve guadalupe.cqs --requests trace.json
-    python -m repro serve-net guadalupe.cqs --port 7711 --workers 2
+    python -m repro serve-net guadalupe.cqs --port 7711 --prewarm
     python -m repro serve-net guadalupe.cqs --metrics-port 9200 --trace-sample-rate 0.01
     python -m repro loadgen 127.0.0.1:7711 --synthetic 4096 --open --rate 500
     python -m repro loadgen 127.0.0.1:7711 --open --rate 2000 --retries 3
@@ -141,33 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="network profile: CQN1 socket throughput, tail latency and "
         "overload behaviour (writes BENCH_network.json)",
-    )
-    bench.add_argument(
-        "--scaling",
-        action="store_true",
-        help="with --network: also run the decode-scaling study "
-        "(threads vs the multi-process pool at 1/2/4/8 workers, cold "
-        "and warm) and gate on per-core pool efficiency",
-    )
-    bench.add_argument(
-        "--workers",
-        default=None,
-        help="with --scaling: comma-separated pool worker counts "
-        "(default 1,2,4,8)",
-    )
-    bench.add_argument(
-        "--start-method",
-        default=None,
-        choices=("fork", "spawn", "forkserver"),
-        help="with --scaling: multiprocessing start method for the "
-        "decode pool (default: the platform's)",
-    )
-    bench.add_argument(
-        "--shm-limit",
-        type=int,
-        default=None,
-        help="with --scaling: per-worker shared-memory slab bytes "
-        "(default 8 MiB; undersized slabs fall back to pipe transport)",
     )
     bench.add_argument(
         "--check",
@@ -303,24 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, help="listen port (0 = OS-assigned)"
     )
     serve_net.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="decode worker *processes* for cold-miss fills (0 = decode "
-        "in-process; see the worker-pool notes in the README)",
-    )
-    serve_net.add_argument(
         "--fill-threads",
         type=int,
         default=4,
         help="threads for the store's cross-shard parallel fills",
-    )
-    serve_net.add_argument(
-        "--shm-limit",
-        type=int,
-        default=None,
-        help="per-worker shared-memory slab bytes for pool results "
-        "(default 8 MiB)",
     )
     serve_net.add_argument(
         "--cache-size",
@@ -449,13 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=7,
         help="inject one fault per N batch decodes",
-    )
-    chaos.add_argument(
-        "--decode-workers",
-        type=int,
-        default=2,
-        help="decode pool size for the worker-kill storm phase "
-        "(0 skips the pool phase)",
     )
     chaos.add_argument(
         "--trace-sample-rate",
@@ -660,26 +612,6 @@ def _single_codec_arg(args: argparse.Namespace, profile: str) -> Optional[str]:
     return named[0]
 
 
-def _scaling_worker_counts(args: argparse.Namespace):
-    """The pool worker counts for --scaling; None on a parse error."""
-    from repro.perf import SCALING_WORKER_COUNTS
-
-    if args.workers is None:
-        return SCALING_WORKER_COUNTS
-    try:
-        counts = tuple(
-            dict.fromkeys(
-                int(v.strip()) for v in args.workers.split(",") if v.strip()
-            )
-        )
-    except ValueError:
-        counts = ()
-    if not counts or any(count < 1 for count in counts):
-        print(f"error: --workers {args.workers!r} is not a list of counts >= 1")
-        return None
-    return counts
-
-
 def _cmd_bench_network(args: argparse.Namespace) -> int:
     from repro.perf import (
         DEFAULT_NETWORK_OUTPUT,
@@ -687,9 +619,7 @@ def _cmd_bench_network(args: argparse.Namespace) -> int:
         NETWORK_QUICK_DEVICE_SPECS,
         network_gates_ok,
         render_network_table,
-        render_scaling_table,
         run_network_bench,
-        run_scaling_bench,
         write_network_json,
     )
 
@@ -720,21 +650,6 @@ def _cmd_bench_network(args: argparse.Namespace) -> int:
         codec=codec,
     )
     print(render_network_table(payload))
-    if args.scaling:
-        worker_counts = _scaling_worker_counts(args)
-        if worker_counts is None:
-            return 2
-        payload["scaling"] = run_scaling_bench(
-            device_specs=specs,
-            worker_counts=worker_counts,
-            rounds=4 if args.quick else 8,
-            seed=args.seed,
-            window_size=args.window_size,
-            codec=codec,
-            start_method=args.start_method,
-            shm_limit=args.shm_limit,
-        )
-        print(render_scaling_table(payload["scaling"]))
     if args.check and not args.output:
         print("   check mode: gates evaluated, JSON not written")
     else:
@@ -806,9 +721,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.network:
         return _cmd_bench_network(args)
-    if args.scaling:
-        print("error: --scaling is part of the --network profile")
-        return 2
     if args.serving:
         return _cmd_bench_serving(args)
     if args.devices:
@@ -1040,8 +952,6 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             store,
             cache_capacity=cache_size,
             max_workers=args.fill_threads,
-            workers=args.workers,
-            shm_limit=args.shm_limit,
         ) as serving:
             if args.prewarm:
                 serving.cache.prewarm()
@@ -1054,13 +964,10 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
             )
             await server.start()
             host, port = server.address
-            pool_note = (
-                f", {args.workers} decode workers" if args.workers else ""
-            )
             print(
                 f"serving {store.device_name} ({len(store.keys())} pulses, "
                 f"{store.n_shards} shards) on {host}:{port} -- CQN1, "
-                f"max inflight {args.max_inflight}{pool_note}; "
+                f"max inflight {args.max_inflight}; "
                 f"Ctrl-C drains and exits"
             )
             metrics_http = None
@@ -1213,7 +1120,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         net_clients=clients,
         n_shards=args.shards,
         fault_period=args.fault_period,
-        decode_workers=args.decode_workers,
         trace_sample_rate=args.trace_sample_rate,
         write_commits=args.write_commits,
         store_dir=store_dir,

@@ -34,17 +34,6 @@ class StoreError(ReproError):
     """
 
 
-class DecodeWorkerError(StoreError):
-    """A multiprocess decode worker failed to serve its job.
-
-    Raised by :class:`repro.serve_net.workers.DecodePool` when a worker
-    process dies mid-decode (the pool fails only that worker's in-flight
-    keys and respawns a replacement), when the pool is closed with jobs
-    still queued, or when a worker reports a failure that does not map
-    back onto a known typed error.
-    """
-
-
 class ProtocolError(ReproError):
     """A CQN1 network frame could not be encoded or decoded.
 

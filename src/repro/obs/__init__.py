@@ -6,7 +6,7 @@ Three pieces:
   with mergeable snapshots and Prometheus text exposition.  The legacy
   stats dataclasses are views over these metrics.
 - :mod:`repro.obs.trace` -- sampled request tracing with spans that
-  propagate client -> net server -> serving -> decode workers.
+  propagate client -> net server -> serving.
 - :mod:`repro.obs.httpd` -- a stdlib HTTP endpoint for scrapers.
 
 See the README "Observability" section for the metric catalog and the

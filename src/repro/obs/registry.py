@@ -2,7 +2,7 @@
 
 This module is the single source of truth for every counter in the
 serving stack.  The legacy stats dataclasses (``CacheStats``,
-``ServerStats``, ``NetServerStats``, ``PoolStats``) are frozen views
+``ServerStats``, ``NetServerStats``) are frozen views
 built from these metrics, so the two surfaces can never drift.
 
 Design constraints, in order:
@@ -19,9 +19,8 @@ Design constraints, in order:
    stats after every soak phase.
 3. **Mergeable.**  ``snapshot()`` produces a plain-dict value that
    :func:`merge_snapshots` combines associatively and commutatively,
-   which is what lets the :class:`~repro.serve_net.workers.DecodePool`
-   dispatcher aggregate per-lane worker registries (and keep the
-   totals of lanes that died).
+   which is what lets a server fold a shared cache's registry and the
+   network tier's registry into one view.
 
 Histograms use fixed log-spaced buckets; display quantiles are exact
 within a bucket via linear interpolation over the cumulative counts.
@@ -393,9 +392,7 @@ def merge_snapshots(*snapshots: Optional[Mapping[str, object]]) -> Dict[str, Dic
     """Combine registry snapshots: associative, commutative, None-safe.
 
     Counters and gauges sum; histograms with identical bounds sum
-    bucket-wise and combine min/max.  This is what makes per-lane
-    worker aggregation order-independent and lets dead lanes' totals
-    fold into the live view.
+    bucket-wise and combine min/max, so the merge order never matters.
     """
     counters: Dict[str, int] = {}
     gauges: Dict[str, float] = {}

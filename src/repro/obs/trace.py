@@ -1,18 +1,14 @@
 """Request tracing: spans, samplers, and a bounded ring of traces.
 
 A trace is a tree of :class:`Span` records covering one request as it
-moves client -> ``NetPulseServer`` -> ``PulseServer`` -> cache/store ->
-``DecodePool``.  The active span travels through the stack in a
+moves client -> ``NetPulseServer`` -> ``PulseServer`` -> cache/store.
+The active span travels through the stack in a
 :mod:`contextvars` context variable; thread hops (executor submits)
 must copy the context explicitly because ``run_in_executor`` does not
 propagate it -- the instrumented call sites in ``repro.store.server``
 and ``repro.serve_net.server`` do this.
 
-Timestamps are ``time.perf_counter()``.  On Linux that clock is
-``CLOCK_MONOTONIC``, which is system-wide, so spans measured inside a
-decode-worker process are directly comparable to the parent's -- the
-worker ships ``(stage, start, duration)`` back in its result tuple and
-the parent grafts it into the live trace.  Across a real network hop
+Timestamps are ``time.perf_counter()``.  Across a real network hop
 the client and server clocks are unrelated; only durations are
 meaningful there.
 
@@ -101,15 +97,6 @@ class Span:
     def child(self, stage: str, **tags: Any) -> "Span":
         """Start a child span (caller must ``finish`` it)."""
         child = Span(self.trace_id, _new_id(), self.span_id, stage, time.perf_counter(), self._trace, tags)
-        self._trace.add(child)
-        return child
-
-    def add_finished_child(
-        self, stage: str, start_s: float, duration_s: float, **tags: Any
-    ) -> "Span":
-        """Graft an externally measured span (e.g. from a decode worker)."""
-        child = Span(self.trace_id, _new_id(), self.span_id, stage, float(start_s), self._trace, tags)
-        child.duration_s = float(duration_s)
         self._trace.add(child)
         return child
 

@@ -288,7 +288,7 @@ def run_compression_bench(
         n_pulses = len(library)
         total_samples = library.total_samples
         for variant in variants:
-            kwargs = {"window_size": window_size, "variant": variant}
+            kwargs = {"window_size": window_size, "codec": variant}
             if threshold is not None:
                 kwargs["threshold"] = threshold
             if mode == "decode":

@@ -32,19 +32,15 @@ sampling on client and server) against the same stack with every
 registry disabled and sampling off -- gated at
 :data:`INSTRUMENTATION_OVERHEAD_GATE` -- and a trace-coverage check
 asserting that one sampled cold fetch yields a merged client+server
-trace whose stages cover the whole path (client, admission, fill, and
-pool decode when workers are attached) with a well-formed breakdown
-(:func:`repro.obs.stage_breakdown`).
+trace whose stages cover the whole path (client, admission, fill)
+with a well-formed breakdown (:func:`repro.obs.stage_breakdown`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import queue
 import tempfile
-import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,7 +62,6 @@ from repro.perf.compression_bench import resolve_device
 from repro.serve_net.client import PulseClient
 from repro.serve_net.loadgen import run_closed_loop, run_open_loop
 from repro.serve_net.server import serve_in_thread
-from repro.serve_net.workers import DecodePool
 from repro.store import PulseServer, save_store, synthetic_trace
 from repro.store.atomic import atomic_write
 from repro.version import __version__
@@ -80,18 +75,13 @@ __all__ = [
     "WARM_P99_GATE_MS",
     "INSTRUMENTATION_OVERHEAD_GATE",
     "TRACE_COVERAGE_STAGES",
-    "SCALING_WORKER_COUNTS",
-    "SCALING_EFFICIENCY_GATE",
-    "SCALING_SPEEDUP_X4_GATE",
     "run_network_bench",
-    "run_scaling_bench",
     "render_network_table",
-    "render_scaling_table",
     "write_network_json",
     "network_gates_ok",
 ]
 
-NETWORK_BENCH_SCHEMA = "compaqt-bench-network/v3"
+NETWORK_BENCH_SCHEMA = "compaqt-bench-network/v4"
 
 DEFAULT_NETWORK_OUTPUT = "BENCH_network.json"
 
@@ -117,38 +107,12 @@ WARM_P99_GATE_MS = 250.0
 #: keeps it honest on every bench run.
 INSTRUMENTATION_OVERHEAD_GATE = 0.95
 
-#: Stages one sampled cold fetch must cover end to end (``pool.decode``
-#: is required only when decode workers are attached).
+#: Stages one sampled cold fetch must cover end to end.
 TRACE_COVERAGE_STAGES = (
     "client.fetch",
     "server.admission",
     "server.fill",
-    "pool.decode",
 )
-
-#: Worker-count ladder for the ``--scaling`` measurement mode.
-SCALING_WORKER_COUNTS = (1, 2, 4, 8)
-
-#: Per-core parallel efficiency (``speedup / min(workers, cpu_count)``)
-#: the pool must reach at its best worker count on every device.
-#: Core-aware on purpose -- on a 1-core CI runner a 4-worker pool
-#: cannot beat one process no matter how good the handoff is, and
-#: pretending otherwise would force either a fake gate or a
-#: handicapped baseline.
-SCALING_EFFICIENCY_GATE = 0.5
-
-#: Absolute cold-decode speedup required at 4 workers -- evaluated only
-#: when the machine actually has >= 4 cores (recorded as skipped
-#: otherwise, with ``cpu_count`` committed alongside so the provenance
-#: of every number is explicit).
-SCALING_SPEEDUP_X4_GATE = 2.5
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
 
 
 def _identity_ok(
@@ -267,7 +231,7 @@ def _instrumentation_overhead(
     }
 
 
-def _trace_coverage(store, keys, workers: int = 1) -> Dict:
+def _trace_coverage(store, keys) -> Dict:
     """One sampled cold fetch must trace the whole path, well-formed.
 
     The client traces at rate 1.0 and propagates its ids over the wire;
@@ -277,9 +241,7 @@ def _trace_coverage(store, keys, workers: int = 1) -> Dict:
     sum to at most the end-to-end duration.
     """
     client_tracer = Tracer(sample_rate=1.0)
-    with PulseServer(
-        store, cache_capacity=len(keys), workers=workers
-    ) as serving:
+    with PulseServer(store, cache_capacity=len(keys)) as serving:
         with serve_in_thread(serving, trace_sample_rate=1.0) as handle:
             with PulseClient(handle.address, tracer=client_tracer) as client:
                 client.fetch(*keys[0])  # cold: the cache starts empty
@@ -295,11 +257,7 @@ def _trace_coverage(store, keys, workers: int = 1) -> Dict:
     )
     spans = merge_trace_spans(client_trace, server_trace)
     breakdown = stage_breakdown(spans)
-    required = [
-        stage
-        for stage in TRACE_COVERAGE_STAGES
-        if workers > 0 or stage != "pool.decode"
-    ]
+    required = list(TRACE_COVERAGE_STAGES)
     missing = [s for s in required if s not in breakdown["stages"]]
     problems = list(breakdown["problems"])
     if server_trace is None:
@@ -308,7 +266,6 @@ def _trace_coverage(store, keys, workers: int = 1) -> Dict:
         problems.append(f"stages missing from the trace: {missing}")
     return {
         "trace_id": client_trace["trace_id"],
-        "workers": workers,
         "required_stages": required,
         "stages": breakdown["stages"],
         "self_s": breakdown["self_s"],
@@ -413,9 +370,7 @@ def run_network_bench(
                 instrumentation = _instrumentation_overhead(
                     store, keys, trace, batch_size, connections, repeats
                 )
-                instrumentation["trace_coverage"] = _trace_coverage(
-                    store, keys, workers=1
-                )
+                instrumentation["trace_coverage"] = _trace_coverage(store, keys)
             store.close()
 
         warm_latency = warm.latency_ms
@@ -496,321 +451,6 @@ def run_network_bench(
         "instrumentation": instrumentation,
         "summary": summary,
     }
-
-
-def _timed_drive(batches, count: int, decode_fn) -> Tuple[int, float]:
-    """Drain ``batches`` from ``count`` submission threads; time the drain.
-
-    Returns ``(pulses_decoded, elapsed_s)``.  The clock starts at a
-    barrier all threads wait on, so thread start-up cost is not billed
-    to the decode path; the first worker exception (if any) propagates
-    after the drain settles.
-    """
-    work: "queue.SimpleQueue" = queue.SimpleQueue()
-    for batch in batches:
-        work.put(batch)
-    for _ in range(count):
-        work.put(None)
-    pulses = [0] * count
-    errors: List[BaseException] = []
-    barrier = threading.Barrier(count + 1)
-
-    def run(index: int) -> None:
-        try:
-            barrier.wait()
-        except threading.BrokenBarrierError:
-            return
-        while True:
-            batch = work.get()
-            if batch is None:
-                return
-            try:
-                decode_fn(batch)
-            except BaseException as exc:
-                errors.append(exc)
-                return
-            pulses[index] += len(batch)
-
-    threads = [
-        threading.Thread(target=run, args=(i,), name=f"scaling-drive-{i}")
-        for i in range(count)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - start
-    if errors:
-        raise errors[0]
-    return sum(pulses), elapsed
-
-
-def _best_drive(repeats: int, batches, count: int, decode_fn) -> Tuple[int, float]:
-    """Best-of-``repeats`` :func:`_timed_drive`; one noisy run can't gate."""
-    results = [_timed_drive(batches, count, decode_fn) for _ in range(repeats)]
-    return max(
-        results, key=lambda r: r[0] / r[1] if r[1] > 0 else 0.0
-    )
-
-
-def run_scaling_bench(
-    device_specs: Sequence[str] = NETWORK_QUICK_DEVICE_SPECS,
-    worker_counts: Sequence[int] = SCALING_WORKER_COUNTS,
-    batch_size: int = 64,
-    rounds: int = 8,
-    n_shards: int = 4,
-    seed: int = 7,
-    window_size: int = 16,
-    codec: str = "int-DCT-W",
-    start_method: Optional[str] = None,
-    shm_limit: Optional[int] = None,
-    repeats: int = 2,
-) -> Dict:
-    """Pin the single-process decode ceiling against the worker pool.
-
-    Per device, every ``(mode, count)`` leg drains the whole catalog
-    ``rounds`` times in ``batch_size`` chunks from ``count`` submission
-    threads (``rounds`` is raised for small catalogs so every leg times
-    at least ~256 pulses, and each timing is the best of ``repeats``
-    drains -- a single noisy run must not decide a gate):
-
-    * ``threads`` legs decode in-process (``store.decode_many``) --
-      the GIL ceiling the pool exists to break; ``threads`` at count 1
-      is the baseline every speedup is measured against.
-    * ``pool`` legs decode through a :class:`DecodePool` with
-      ``count`` worker processes, plus an untimed full-catalog
-      bit-identity pass against the scalar oracle.
-
-    Warm legs replay the same batches against a prewarmed
-    :class:`PulseServer` (with and without the pool attached), proving
-    the pool never taxes the cache-hit path.  The summary's gates are
-    core-aware -- see :data:`SCALING_EFFICIENCY_GATE` /
-    :data:`SCALING_SPEEDUP_X4_GATE`.
-    """
-    if not device_specs:
-        raise DeviceError("scaling bench needs at least one device spec")
-    counts = sorted(dict.fromkeys(int(c) for c in worker_counts))
-    if not counts or counts[0] < 1:
-        raise DeviceError(f"worker counts must be >= 1, got {worker_counts}")
-    if batch_size < 1 or rounds < 1 or repeats < 1:
-        raise DeviceError("batch_size, rounds and repeats must be >= 1")
-    import multiprocessing
-
-    cpus = _cpu_count()
-    resolved_method = multiprocessing.get_context(start_method).get_start_method()
-    entries: List[Dict] = []
-    for spec in device_specs:
-        device = resolve_device(spec)
-        compiled = CompaqtCompiler(
-            window_size=window_size, codec=codec
-        ).compile_library(device.pulse_library())
-        with tempfile.TemporaryDirectory(prefix="cqn1-scaling-") as tmp:
-            store = save_store(
-                compiled, pathlib.Path(tmp) / f"{device.name}.cqs", n_shards
-            )
-            keys = store.keys()
-            reference = {
-                key: decompress_waveform(
-                    compiled.result(*key).compressed
-                ).samples.tobytes()
-                for key in keys
-            }
-            # Small catalogs get extra rounds: 23 pulses x 4 rounds is
-            # tens of milliseconds of work, far too little to gate on.
-            device_rounds = max(rounds, -(-256 // len(keys)))
-            batches = [
-                keys[i : i + batch_size]
-                for i in range(0, len(keys), batch_size)
-            ] * device_rounds
-
-            legs: List[Dict] = []
-            for mode in ("threads", "pool"):
-                for count in counts:
-                    identity: Optional[bool] = None
-                    pool_stats: Optional[Dict] = None
-                    if mode == "threads":
-                        cold_pulses, cold_s = _best_drive(
-                            repeats, batches, count, store.decode_many
-                        )
-                    else:
-                        with DecodePool(
-                            store.handle(),
-                            workers=count,
-                            **(
-                                {}
-                                if shm_limit is None
-                                else {"shm_limit": shm_limit}
-                            ),
-                            start_method=start_method,
-                        ) as pool:
-                            cold_pulses, cold_s = _best_drive(
-                                repeats, batches, count, pool.decode
-                            )
-                            # Untimed: every pool-served waveform must
-                            # match the scalar oracle bit for bit.
-                            served = pool.decode(keys)
-                            identity = all(
-                                waveform.samples.tobytes() == reference[key]
-                                for key, waveform in zip(keys, served)
-                            )
-                            pool_stats = pool.stats().as_dict()
-                    with PulseServer(
-                        store,
-                        cache_capacity=len(keys),
-                        workers=0 if mode == "threads" else count,
-                        start_method=start_method,
-                        **(
-                            {}
-                            if shm_limit is None
-                            else {"shm_limit": shm_limit}
-                        ),
-                    ) as serving:
-                        serving.fetch_batch(keys)  # prewarm: all hits now
-                        warm_pulses, warm_s = _best_drive(
-                            repeats, batches, count, serving.fetch_batch
-                        )
-                    legs.append(
-                        {
-                            "mode": mode,
-                            "count": count,
-                            "cold_pulses": cold_pulses,
-                            "cold_s": cold_s,
-                            "cold_pulses_per_s": (
-                                cold_pulses / cold_s if cold_s > 0 else 0.0
-                            ),
-                            "warm_pulses_per_s": (
-                                warm_pulses / warm_s if warm_s > 0 else 0.0
-                            ),
-                            "identity_ok": identity,
-                            "pool": pool_stats,
-                        }
-                    )
-            store.close()
-
-        baseline = next(
-            leg["cold_pulses_per_s"]
-            for leg in legs
-            if leg["mode"] == "threads" and leg["count"] == 1
-        )
-        speedup = {
-            str(leg["count"]): (
-                leg["cold_pulses_per_s"] / baseline if baseline > 0 else 0.0
-            )
-            for leg in legs
-            if leg["mode"] == "pool"
-        }
-        efficiency = {
-            count: ratio / min(int(count), cpus)
-            for count, ratio in speedup.items()
-        }
-        entries.append(
-            {
-                "device": device.name,
-                "spec": spec,
-                "n_pulses": len(keys),
-                "rounds": device_rounds,
-                "legs": legs,
-                "baseline_cold_pulses_per_s": baseline,
-                "pool_speedup": speedup,
-                "pool_efficiency": efficiency,
-            }
-        )
-
-    # Per device, the pool is judged at its best worker count (on a
-    # multi-core box that is normally the widest one; on a starved
-    # runner the best count dodges contention noise) and the gate takes
-    # the worst device.
-    efficiencies = [max(e["pool_efficiency"].values()) for e in entries]
-    identity_legs = [
-        leg["identity_ok"]
-        for e in entries
-        for leg in e["legs"]
-        if leg["mode"] == "pool"
-    ]
-    x4_applicable = 4 in counts and cpus >= 4
-    x4_best = (
-        max(e["pool_speedup"]["4"] for e in entries) if 4 in counts else None
-    )
-    summary = {
-        "cpu_count": cpus,
-        "all_identity_ok": all(identity_legs),
-        "efficiency_gate": SCALING_EFFICIENCY_GATE,
-        "efficiency_best_min": min(efficiencies),
-        "efficiency_gate_ok": min(efficiencies) >= SCALING_EFFICIENCY_GATE,
-        "speedup_x4_gate": SCALING_SPEEDUP_X4_GATE,
-        "speedup_x4_best": x4_best,
-        # None (not False) when the runner lacks the cores to make the
-        # absolute gate meaningful; cpu_count above says why.
-        "speedup_x4_gate_ok": (
-            x4_best >= SCALING_SPEEDUP_X4_GATE if x4_applicable else None
-        ),
-        "n_entries": len(entries),
-    }
-    return {
-        "cpu_count": cpus,
-        "start_method": resolved_method,
-        "worker_counts": counts,
-        "batch_size": batch_size,
-        "rounds": rounds,
-        "seed": seed,
-        "window_size": window_size,
-        "codec": codec,
-        "n_shards": n_shards,
-        "repeats": repeats,
-        "entries": entries,
-        "summary": summary,
-    }
-
-
-def render_scaling_table(scaling: Dict) -> str:
-    """Render a scaling section as the repo's standard table."""
-    rows = []
-    for entry in scaling["entries"]:
-        for leg in entry["legs"]:
-            identity = leg["identity_ok"]
-            rows.append(
-                [
-                    entry["device"],
-                    leg["mode"],
-                    leg["count"],
-                    f"{leg['cold_pulses_per_s']:.0f}",
-                    f"{leg['warm_pulses_per_s']:.0f}",
-                    (
-                        f"{entry['pool_speedup'][str(leg['count'])]:.2f}x"
-                        if leg["mode"] == "pool"
-                        else "-"
-                    ),
-                    "-" if identity is None else ("ok" if identity else "MISMATCH"),
-                ]
-            )
-    summary = scaling["summary"]
-    x4 = summary["speedup_x4_gate_ok"]
-    notes = [
-        f"{summary['cpu_count']} cpu(s)",
-        f"identity {'ok' if summary['all_identity_ok'] else 'FAILED'}",
-        f"best per-core efficiency >= "
-        f"{summary['efficiency_best_min']:.2f} "
-        f"(gate {summary['efficiency_gate']:.2f}: "
-        f"{'ok' if summary['efficiency_gate_ok'] else 'FAILED'})",
-        (
-            f"4-worker speedup {summary['speedup_x4_best']:.2f}x "
-            f"(gate {summary['speedup_x4_gate']:.1f}x: "
-            + ("ok" if x4 else "FAILED")
-            + ")"
-            if x4 is not None
-            else "4-worker absolute gate skipped (cpu_count < 4)"
-        ),
-    ]
-    return render_table(
-        "Decode scaling: threads vs process pool "
-        f"(batch={scaling['batch_size']}, rounds={scaling['rounds']}, "
-        f"start={scaling['start_method']})",
-        ["device", "mode", "n", "cold p/s", "warm p/s", "speedup", "identity"],
-        rows,
-        note=", ".join(notes),
-    )
 
 
 def render_network_table(payload: Dict) -> str:
@@ -926,22 +566,4 @@ def network_gates_ok(payload: Dict) -> Tuple[bool, List[str]]:
             "a sampled cold fetch did not produce a well-formed "
             f"end-to-end trace: {'; '.join(problems) or 'unknown'}"
         )
-    scaling = payload.get("scaling")
-    if scaling is not None:
-        s = scaling["summary"]
-        if not s["all_identity_ok"]:
-            failures.append(
-                "a pool-served waveform diverged from the scalar oracle"
-            )
-        if not s["efficiency_gate_ok"]:
-            failures.append(
-                f"pool per-core efficiency {s['efficiency_best_min']:.2f} "
-                f"(worst device, best worker count) is below the "
-                f"{s['efficiency_gate']:.2f} gate ({s['cpu_count']} cpu(s))"
-            )
-        if s["speedup_x4_gate_ok"] is False:
-            failures.append(
-                f"4-worker cold speedup {s['speedup_x4_best']:.2f}x is below "
-                f"the {s['speedup_x4_gate']:.1f}x gate"
-            )
     return (not failures, failures)

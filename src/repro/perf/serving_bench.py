@@ -431,7 +431,7 @@ def run_serving_bench(
         device = resolve_device(spec)
         library = device.pulse_library()
         compiled = CompaqtCompiler(
-            window_size=window_size, variant=variant
+            window_size=window_size, codec=variant
         ).compile_library(library)
         n_pulses = len(compiled)
         with tempfile.TemporaryDirectory(prefix="cqs1-bench-") as tmp:
@@ -685,7 +685,6 @@ def run_serving_soak(
     net_clients: int = 3,
     n_shards: int = 4,
     fault_period: int = 7,
-    decode_workers: int = 2,
     trace_sample_rate: float = 0.0,
     write_commits: int = 12,
     store_dir=None,
@@ -695,8 +694,7 @@ def run_serving_soak(
     Where :func:`run_serving_bench` measures the healthy stack's
     throughput, this runs the same store/cache/server/net stack under
     the seeded fault plan of :func:`repro.chaos.run_chaos` -- one run
-    per device spec, including the decode-pool SIGKILL storm when
-    ``decode_workers > 0`` and the commit-protocol write storm when
+    per device spec, including the commit-protocol write storm when
     ``write_commits > 0`` -- and returns a JSON-able payload whose
     ``all_ok`` is the CI gate (see :func:`soak_gates_ok`).
     """
@@ -713,7 +711,6 @@ def run_serving_soak(
             net_clients=net_clients,
             n_shards=n_shards,
             plan=FaultPlan(seed=seed, period=fault_period),
-            decode_workers=decode_workers,
             trace_sample_rate=trace_sample_rate,
             write_commits=write_commits,
             store_dir=store_dir,
@@ -732,7 +729,6 @@ def run_serving_soak(
             "net_clients": net_clients,
             "n_shards": n_shards,
             "fault_period": fault_period,
-            "decode_workers": decode_workers,
             "trace_sample_rate": trace_sample_rate,
             "write_commits": write_commits,
         },
@@ -749,9 +745,7 @@ def render_soak_table(payload: Dict) -> str:
         rows.append(
             [
                 e["device"],
-                e["requests_threaded"]
-                + e["requests_net"]
-                + e.get("requests_pool", 0),
+                e["requests_threaded"] + e["requests_net"],
                 sum(faults.values()),
                 "/".join(str(faults.get(k, 0)) for k in sorted(faults)) or "-",
                 e["typed_errors"],

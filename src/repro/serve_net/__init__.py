@@ -20,9 +20,6 @@ under load:
   sockets) and :class:`AsyncPulseClient` (asyncio), the redesigned
   public client API, with optional seeded retry-with-backoff on
   overload replies.
-- :mod:`repro.serve_net.workers` -- :class:`DecodePool`, a
-  multi-process decode pool with shared-memory result handoff that
-  takes cold-miss fills off the serving process's cores.
 - :mod:`repro.serve_net.loadgen` -- closed- and open-loop load
   generators reporting p50/p95/p99 latency, throughput, overload and
   retry counts; the measurement half of ``BENCH_network.json``.
@@ -59,7 +56,6 @@ from repro.serve_net.server import (
     serve_in_thread,
 )
 from repro.serve_net.client import AsyncPulseClient, PulseClient, parse_address
-from repro.serve_net.workers import DEFAULT_SHM_LIMIT, DecodePool, PoolStats
 from repro.serve_net.loadgen import (
     LoadReport,
     latency_summary,
@@ -87,9 +83,6 @@ __all__ = [
     "PulseClient",
     "AsyncPulseClient",
     "parse_address",
-    "DecodePool",
-    "PoolStats",
-    "DEFAULT_SHM_LIMIT",
     "LoadReport",
     "latency_summary",
     "run_closed_loop",

@@ -310,8 +310,8 @@ class PulseClient:
 
         Shape: ``{"counters": ..., "gauges": ..., "histograms": ...}``
         (see :meth:`repro.obs.MetricsRegistry.snapshot`), aggregated
-        across the network tier, serving layer, cache, decode-worker
-        lanes, and the process-wide default registry.
+        across the network tier, serving layer, cache, and the
+        process-wide default registry.
         """
         reply = _check_reply(
             self._roundtrip(protocol.encode_metrics()), protocol.MSG_METRICS

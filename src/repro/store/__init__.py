@@ -39,7 +39,6 @@ from repro.store.sharded import (
     STORE_MAGIC,
     STORE_MAGIC_V2,
     ShardedStore,
-    StoreHandle,
     StoreRecord,
     generation_manifest_name,
     open_store,
@@ -69,7 +68,6 @@ __all__ = [
     "MANIFEST_NAME",
     "StoreRecord",
     "ShardedStore",
-    "StoreHandle",
     "shard_index",
     "generation_manifest_name",
     "save_store",

@@ -232,27 +232,6 @@ class PulseCache:
                     out[key] = self._insert(key, waveform, store)
         return out
 
-    def insert_decoded(
-        self, pairs: Sequence[Tuple[Tuple[str, Sequence[int]], Waveform]]
-    ) -> Dict[_Key, Waveform]:
-        """Insert already-decoded waveforms (the pool-fed fill path).
-
-        The decode half of :meth:`load_many` without the store read:
-        :class:`~repro.store.server.PulseServer` uses this when a
-        :class:`~repro.serve_net.workers.DecodePool` decoded the misses
-        in a worker process.  Same counter discipline as
-        :meth:`load_many` (lookups untouched, insertions/evictions
-        recorded) and the same :func:`_lock_samples` immutability
-        guarantee on everything inserted.
-        """
-        preempt("cache.load.pre_insert")
-        out: Dict[_Key, Waveform] = {}
-        with self._lock:
-            for key, waveform in pairs:
-                normalized = normalize_key(*key)
-                out[normalized] = self._insert(normalized, waveform)
-        return out
-
     def prewarm(self, shards: Optional[Sequence[int]] = None) -> int:
         """Fill the cache from whole shards through the fused decoder.
 

@@ -4,9 +4,11 @@
 off the compressed waveform memory: gate issue asks for a decoded
 pulse, the hot set answers from the
 :class:`~repro.store.cache.PulseCache`, and misses are demand-fetched
-from the :class:`~repro.store.sharded.ShardedStore` and decoded through
-the batched engine.  It is safe to call from many threads at once and
-adds two policies the cache deliberately does not have:
+from the :class:`~repro.store.sharded.ShardedStore` and decoded
+in-process, inline on the read path (:meth:`PulseServer._fill_shard`
+is the one place a cold miss is decoded).  It is safe to call from
+many threads at once and adds two policies the cache deliberately
+does not have:
 
 * **Per-shard single-flight.**  Every fill happens under that shard's
   lock: when N threads miss on the same (or co-sharded) pulses at the
@@ -21,10 +23,11 @@ adds two policies the cache deliberately does not have:
 
 Served samples are bit-identical to the scalar reference
 (:func:`repro.compression.pipeline.decompress_channel` via
-``decompress_waveform``): the cache decodes through
-:func:`~repro.compression.batch.decompress_batch`, whose conformance
-with the scalar path is enforced by the PR 2 test suite and re-checked
-end-to-end by the serving benchmark's identity gate.
+``decompress_waveform``): the cache decodes through the fused
+:meth:`~repro.store.sharded.ShardedStore.decode_many`, whose
+conformance with the scalar path is enforced by the fast-path fuzz
+suite and re-checked end-to-end by the serving benchmark's identity
+gate.
 """
 
 from __future__ import annotations
@@ -58,19 +61,15 @@ class ServerStats:
     shard_fills: int
     coalesced_fills: int
     cache: CacheStats
-    pool: Optional[Dict] = None
 
     def as_dict(self) -> Dict:
-        out = {
+        return {
             "requests": self.requests,
             "batches": self.batches,
             "shard_fills": self.shard_fills,
             "coalesced_fills": self.coalesced_fills,
             "cache": self.cache.as_dict(),
         }
-        if self.pool is not None:
-            out["pool"] = dict(self.pool)
-        return out
 
     # Historical spelling; ``as_dict`` is the shared stats-object surface.
     to_dict = as_dict
@@ -88,28 +87,16 @@ class PulseServer:
             under per-shard single-flight).
         cache: Optionally share a pre-built :class:`PulseCache` (e.g.
             one cache behind several servers in a test harness).
-        workers: Decode worker *processes*.  ``0`` (the default)
-            preserves the in-process fill path exactly; ``>= 1`` routes
-            every cold-miss decode through a
-            :class:`~repro.serve_net.workers.DecodePool` with
-            shared-memory sample handoff.  Per-shard single-flight and
-            coalescing are unchanged either way -- the shard lock wraps
-            the fill regardless of where the decode runs.
-        shm_limit: Per-worker shared-memory slab in bytes (pool only).
-        start_method: Multiprocessing start method for the pool
-            (``None`` = platform default).
         metrics: Registry for the ``server.*`` counters and the fill
             latency histogram.  Defaults to a private registry; a
-            privately built cache and decode pool share it (one
-            merged view per server), while a shared ``cache=`` keeps
-            its own registry and is merged in
-            :meth:`metrics_snapshot`.
+            privately built cache shares it (one merged view per
+            server), while a shared ``cache=`` keeps its own registry
+            and is merged in :meth:`metrics_snapshot`.
 
     Use as a context manager, or call :meth:`close` to release the
-    fill executor, drain the decode pool, and release the store's mmap
-    pool; serving after ``close`` still works -- fills run inline and
-    in-process on the calling thread and the pool remaps shards on
-    demand.
+    fill executor and the store's mmap pool; serving after ``close``
+    still works -- fills run inline on the calling thread and the pool
+    remaps shards on demand.
     """
 
     def __init__(
@@ -118,15 +105,10 @@ class PulseServer:
         cache_capacity: int = 64,
         max_workers: int = 4,
         cache: Optional[PulseCache] = None,
-        workers: int = 0,
-        shm_limit: Optional[int] = None,
-        start_method: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_workers < 1:
             raise StoreError(f"max_workers must be >= 1, got {max_workers}")
-        if workers < 0:
-            raise StoreError(f"workers must be >= 0, got {workers}")
         if cache is not None and cache.store is not store:
             raise StoreError("shared cache is bound to a different store")
         self.store = store
@@ -136,20 +118,6 @@ class PulseServer:
             if cache is not None
             else PulseCache(store, cache_capacity, metrics=self.metrics)
         )
-        self._pool = None
-        self._pool_config = (workers, shm_limit, start_method)
-        if workers > 0:
-            # Imported lazily: repro.serve_net.workers imports from
-            # repro.store, so a module-level import here would cycle.
-            from repro.serve_net.workers import DEFAULT_SHM_LIMIT, DecodePool
-
-            self._pool = DecodePool(
-                store.handle(),
-                workers=workers,
-                shm_limit=DEFAULT_SHM_LIMIT if shm_limit is None else shm_limit,
-                start_method=start_method,
-                metrics=self.metrics,
-            )
         # Sized to the hash-routing width; a CQS2 generation's shard
         # *table* can be wider (staged commit files), so fills index
         # these modulo len -- same single-flight guarantee, staged
@@ -174,18 +142,14 @@ class PulseServer:
     def close(self) -> None:
         """Shut down the fill executor and release store handles.
 
-        Idempotent.  The decode pool (if any) drains gracefully --
-        in-flight worker jobs finish or fail typed, never hang.  The
-        cache's ``close`` cascades to the store's mmap pool; because
-        the pool remaps on demand, a shared cache or store behind
-        several servers keeps working after one of them closes.
+        Idempotent.  The cache's ``close`` cascades to the store's mmap
+        pool; because the pool remaps on demand, a shared cache or
+        store behind several servers keeps working after one of them
+        closes.
         """
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
         self.cache.close()
 
     def __enter__(self) -> "PulseServer":
@@ -283,10 +247,9 @@ class PulseServer:
         the one being served has been committed (by a
         :class:`repro.store.writable.StoreWriter`, possibly in another
         process), swaps it in: the cache invalidates precisely by
-        (key, version) via :meth:`PulseCache.adopt_store`, the decode
-        pool (if any) is restarted on the new snapshot (workers pin
-        their own generation at open), and the old snapshot's mmap pool
-        is released.  Returns ``True`` iff a new generation was adopted.
+        (key, version) via :meth:`PulseCache.adopt_store` and the old
+        snapshot's mmap pool is released.  Returns ``True`` iff a new
+        generation was adopted.
 
         Readers are never blocked: adoption swaps references under the
         cache lock only, and fills in flight against the old snapshot
@@ -296,7 +259,7 @@ class PulseServer:
         """
         with self._refresh_lock:
             current = self.store
-            fresh = current.handle().open()
+            fresh = ShardedStore.open(current.path, current.max_open_shards)
             if fresh.generation == current.generation:
                 fresh.close()
                 return False
@@ -304,21 +267,6 @@ class PulseServer:
             self.store = fresh
             self.metrics.counter("server.generation_adoptions").inc()
             self.metrics.counter("server.refresh_invalidations").inc(invalidated)
-            if self._pool is not None:
-                from repro.serve_net.workers import DEFAULT_SHM_LIMIT, DecodePool
-
-                old_pool, self._pool = self._pool, None
-                old_pool.close()
-                workers, shm_limit, start_method = self._pool_config
-                self._pool = DecodePool(
-                    fresh.handle(),
-                    workers=workers,
-                    shm_limit=(
-                        DEFAULT_SHM_LIMIT if shm_limit is None else shm_limit
-                    ),
-                    start_method=start_method,
-                    metrics=self.metrics,
-                )
             current.close()
             return True
 
@@ -329,7 +277,8 @@ class PulseServer:
 
         Keys another thread decoded while we waited for the lock are
         taken from the cache (coalesced); the remainder is read and
-        decoded in one batch.
+        decoded in one batch, in this thread, still under the lock
+        (:meth:`PulseCache.load_many` -> ``ShardedStore.decode_many``).
         """
         out: Dict[_Key, Waveform] = {}
         coalesced = 0
@@ -347,19 +296,7 @@ class PulseServer:
                     else:
                         to_load.append(key)
                 if to_load:
-                    pool = self._pool
-                    if pool is None:
-                        out.update(self.cache.load_many(to_load))
-                    else:
-                        # The decode runs in a worker process; the insert
-                        # (and its _lock_samples discipline) stays here,
-                        # still under this shard's single-flight lock.
-                        waveforms = pool.decode(to_load)
-                        out.update(
-                            self.cache.insert_decoded(
-                                list(zip(to_load, waveforms))
-                            )
-                        )
+                    out.update(self.cache.load_many(to_load))
         self._fill_seconds.observe(time.perf_counter() - started)
         with self._stats_lock:
             self._shard_fills.inc()
@@ -368,29 +305,20 @@ class PulseServer:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    @property
-    def pool(self):
-        """The live :class:`DecodePool`, or ``None`` (``workers=0``)."""
-        return self._pool
-
     def metrics_snapshot(self) -> Dict:
-        """Merged registry snapshot: server + cache + decode-pool lanes.
+        """Merged registry snapshot: server + cache.
 
-        A privately built cache and pool already write into this
-        server's registry; a shared ``cache=`` (its own registry) and
-        the pool's per-lane worker registries are merged in here.
+        A privately built cache already writes into this server's
+        registry; a shared ``cache=`` (its own registry) is merged in
+        here.
         """
         snapshots = [self.metrics.snapshot()]
         if self.cache.metrics is not self.metrics:
             snapshots.append(self.cache.metrics.snapshot())
-        pool = self._pool
-        if pool is not None:
-            snapshots.append(pool.lane_metrics_snapshot())
         return merge_snapshots(*snapshots)
 
     def stats(self) -> ServerStats:
         """Frozen :class:`ServerStats` view over the registry counters."""
-        pool = self._pool
         with self._stats_lock:
             return ServerStats(
                 requests=self._requests.value,
@@ -398,5 +326,4 @@ class PulseServer:
                 shard_fills=self._shard_fills.value,
                 coalesced_fills=self._coalesced_fills.value,
                 cache=self.cache.stats(),
-                pool=pool.stats().as_dict() if pool is not None else None,
             )

@@ -87,7 +87,6 @@ __all__ = [
     "generation_manifest_name",
     "list_generation_manifests",
     "StoreRecord",
-    "StoreHandle",
     "normalize_key",
     "ShardedStore",
     "shard_index",
@@ -167,27 +166,6 @@ class StoreRecord:
     mse: float
     threshold: float
     version: int = 1
-
-
-@dataclass(frozen=True)
-class StoreHandle:
-    """A picklable recipe for reopening a store in another process.
-
-    A :class:`ShardedStore` itself cannot cross a process boundary (it
-    owns mmap handles and locks), but opening one is cheap -- the
-    manifest is the only eager read.  The handle carries just the store
-    directory and the pool budget, so a decode worker
-    (:class:`repro.serve_net.workers.DecodePool`) can be handed one
-    through ``multiprocessing`` and open its *own* read-only view with
-    its own :class:`_MmapPool`.
-    """
-
-    path: str
-    max_open_shards: int = 8
-
-    def open(self) -> "ShardedStore":
-        """Open an independent read handle on the store directory."""
-        return ShardedStore.open(self.path, self.max_open_shards)
 
 
 def _shard_file_name(shard: int) -> str:
@@ -450,11 +428,10 @@ class ShardedStore:
             max_open=min(max_open_shards, max(1, len(shard_files))),
         )
 
-    def handle(self) -> StoreHandle:
-        """A picklable :class:`StoreHandle` for this store directory."""
-        return StoreHandle(
-            path=str(self.path), max_open_shards=self._pool._max_open
-        )
+    @property
+    def max_open_shards(self) -> int:
+        """The mmap pool's resident-shard budget (what a reopen reuses)."""
+        return self._pool._max_open
 
     @property
     def io_fault_hook(self) -> Optional[Callable[[str, int], None]]:

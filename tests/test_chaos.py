@@ -12,7 +12,6 @@ import pytest
 
 from repro.chaos import (
     FAULT_KINDS,
-    POOL_FAULT_KINDS,
     WRITE_FAULT_KINDS,
     ChaosReport,
     FaultPlan,
@@ -253,7 +252,7 @@ class TestRunChaos:
         assert isinstance(report, ChaosReport)
         assert report.ok, report.violations
         assert set(report.faults_injected) == (
-            set(FAULT_KINDS) | set(POOL_FAULT_KINDS) | set(WRITE_FAULT_KINDS)
+            set(FAULT_KINDS) | set(WRITE_FAULT_KINDS)
         )
         assert report.typed_errors >= 1
         assert report.untyped_errors == 0
@@ -263,42 +262,10 @@ class TestRunChaos:
         assert report.recovery_reads == report.server_stats["cache"]["capacity"]
         assert report.as_dict()["ok"] is True
 
-    def test_pool_storm_counters(self):
-        report = run_chaos(
-            device_spec="bogota", seed=3, threads=3, ops_per_thread=60,
-            net_clients=0, decode_workers=2,
-        )
-        assert report.ok, report.violations
-        assert report.decode_workers == 2
-        assert report.requests_pool > 0
-        assert report.pool_stats["workers"] == 2
-        # Deaths and respawns stay paired, and the deliberately tiny
-        # slab exercised the pipe-transport fallback.  (A SIGKILL sent
-        # in the storm's last instants may not be *detected* until
-        # after the snapshot, so kills bound deaths from above.)
-        assert report.pool_stats["worker_deaths"] >= 1
-        assert report.pool_stats["respawns"] == report.pool_stats["worker_deaths"]
-        assert report.faults_injected["shm_exhaust"] >= 1
-        assert (
-            report.faults_injected["worker_kill"]
-            >= report.pool_stats["worker_deaths"]
-        )
-
-    def test_decode_workers_zero_skips_the_pool_phase(self):
-        report = run_chaos(
-            device_spec="bogota", seed=0, threads=2, ops_per_thread=30,
-            net_clients=0, decode_workers=0,
-        )
-        assert report.ok, report.violations
-        assert report.decode_workers == 0
-        assert report.requests_pool == 0
-        assert report.pool_stats == {}
-        assert not set(POOL_FAULT_KINDS) & set(report.faults_injected)
-
     def test_write_storm_counters_and_recovery(self):
         report = run_chaos(
             device_spec="bogota", seed=1, threads=2, ops_per_thread=30,
-            net_clients=0, decode_workers=0, write_commits=8,
+            net_clients=0, write_commits=8,
             write_plan=FaultPlan(seed=1, period=2, kinds=WRITE_FAULT_KINDS),
         )
         assert report.ok, report.violations
@@ -316,7 +283,7 @@ class TestRunChaos:
     def test_write_commits_zero_skips_the_write_phase(self):
         report = run_chaos(
             device_spec="bogota", seed=0, threads=2, ops_per_thread=30,
-            net_clients=0, decode_workers=0, write_commits=0,
+            net_clients=0, write_commits=0,
         )
         assert report.ok, report.violations
         assert report.write_commits == 0
@@ -327,8 +294,6 @@ class TestRunChaos:
     def test_validates_arguments(self):
         with pytest.raises(ChaosError):
             run_chaos(threads=0)
-        with pytest.raises(ChaosError):
-            run_chaos(decode_workers=-1)
         with pytest.raises(ChaosError):
             run_chaos(write_commits=-1)
 

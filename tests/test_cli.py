@@ -26,33 +26,16 @@ class TestParser:
         assert args.devices is None
         assert args.window_size == 16
         assert args.repeats is None
-        assert not args.scaling
         assert not args.check
-        assert args.workers is None
-        assert args.start_method is None
-        assert args.shm_limit is None
-
-    def test_bench_scaling_flags(self):
-        args = build_parser().parse_args(
-            [
-                "bench", "--network", "--scaling", "--workers", "1,2",
-                "--start-method", "spawn", "--shm-limit", "65536", "--check",
-            ]
-        )
-        assert args.scaling and args.check
-        assert args.workers == "1,2"
-        assert args.start_method == "spawn"
-        assert args.shm_limit == 65536
-
-    def test_scaling_outside_network_is_an_error(self, capsys):
-        assert main(["bench", "--scaling", "--quick"]) == 2
-        assert "--network" in capsys.readouterr().out
 
     def test_serve_net_worker_flags(self):
         args = build_parser().parse_args(["serve-net", "some.cqs"])
-        assert args.workers == 0  # decode processes: in-process default
         assert args.fill_threads == 4
-        assert args.shm_limit is None
+        # Cold misses always decode in-process: there is no decode
+        # process pool to size.
+        for flag in ("--workers", "--shm-limit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve-net", "some.cqs", flag, "1"])
 
     def test_loadgen_retry_flags(self):
         args = build_parser().parse_args(["loadgen", "127.0.0.1:1"])
@@ -62,11 +45,6 @@ class TestParser:
             ["loadgen", "127.0.0.1:1", "--retries", "3", "--backoff", "0.01"]
         )
         assert (args.retries, args.backoff) == (3, 0.01)
-
-    def test_chaos_decode_workers_flag(self):
-        assert build_parser().parse_args(["chaos"]).decode_workers == 2
-        args = build_parser().parse_args(["chaos", "--decode-workers", "0"])
-        assert args.decode_workers == 0
 
 
 class TestBenchCheckMode:

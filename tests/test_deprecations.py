@@ -184,17 +184,6 @@ class TestStatsKeySetPins:
         "hit_rate",
     }
     SERVER_KEYS = {"requests", "batches", "shard_fills", "coalesced_fills", "cache"}
-    POOL_KEYS = {
-        "workers",
-        "start_method",
-        "shm_limit",
-        "jobs_ok",
-        "jobs_failed",
-        "shm_jobs",
-        "fallback_jobs",
-        "worker_deaths",
-        "respawns",
-    }
     NET_KEYS = {
         "connections_accepted",
         "connections_open",
@@ -227,21 +216,6 @@ class TestStatsKeySetPins:
             cache=self._cache_stats(),
         )
         assert set(stats.as_dict()) == self.SERVER_KEYS
-
-    def test_server_stats_with_pool_key_set(self):
-        pool = {key: 0 for key in self.POOL_KEYS}
-        pool.update(start_method="forkserver", workers=2, shm_limit=1 << 20)
-        stats = ServerStats(
-            requests=7,
-            batches=2,
-            shard_fills=3,
-            coalesced_fills=1,
-            cache=self._cache_stats(),
-            pool=pool,
-        )
-        blob = stats.as_dict()
-        assert set(blob) == self.SERVER_KEYS | {"pool"}
-        assert set(blob["pool"]) == self.POOL_KEYS
 
     def test_net_server_stats_key_set(self):
         from repro.serve_net.server import NetServerStats

@@ -10,6 +10,7 @@ drained server refuses new work.
 """
 
 import asyncio
+import random
 import socket
 import struct
 import threading
@@ -29,6 +30,7 @@ from repro.serve_net import (
     protocol,
     serve_in_thread,
 )
+from repro.serve_net.client import _retry_delay
 from repro.store import PulseServer, save_store
 
 
@@ -51,6 +53,14 @@ def reference(store):
         key: decompress_waveform(store.read_record(*key)).samples.tobytes()
         for key in store.keys()
     }
+
+
+def _assert_identical(reference, keys, waveforms):
+    __tracebackhide__ = True
+    assert len(waveforms) == len(keys)
+    for key, waveform in zip(keys, waveforms):
+        assert waveform.samples.tobytes() == reference[key], key
+        assert not waveform.samples.flags.writeable
 
 
 @pytest.fixture()
@@ -528,3 +538,90 @@ class TestFrameTimeoutExpiry:
     def test_frame_timeout_validated(self, serving):
         with pytest.raises(StoreError, match="frame_timeout"):
             NetPulseServer(serving, frame_timeout=0.0)
+
+
+class TestClientRetry:
+    def test_retry_recovers_from_transient_overload(
+        self, handle, store, reference
+    ):
+        keys = store.keys()
+        with PulseClient(
+            handle.address, retries=3, backoff=0.001, seed=7
+        ) as client:
+            real_roundtrip = client._roundtrip
+            sheds = [2]
+
+            def flaky_roundtrip(frame):
+                if sheds[0]:
+                    sheds[0] -= 1
+                    raise ServerOverloadedError("test shed")
+                return real_roundtrip(frame)
+
+            client._roundtrip = flaky_roundtrip
+            _assert_identical(reference, keys, client.fetch_batch(keys))
+            assert client.retries_performed == 2
+
+    def test_retries_exhausted_surfaces_overload(self, handle, store):
+        with PulseClient(
+            handle.address, retries=1, backoff=0.001, seed=7
+        ) as client:
+            def always_shed(frame):
+                raise ServerOverloadedError("test shed")
+
+            client._roundtrip = always_shed
+            with pytest.raises(ServerOverloadedError):
+                client.fetch_batch(store.keys())
+            assert client.retries_performed == 1
+
+    def test_async_client_retries(self, handle, store, reference):
+        import asyncio
+
+        keys = store.keys()
+
+        async def _run():
+            async with AsyncPulseClient(
+                handle.address, retries=2, backoff=0.001, seed=7
+            ) as client:
+                real_roundtrip = client._roundtrip
+                sheds = [1]
+
+                async def flaky_roundtrip(frame):
+                    if sheds[0]:
+                        sheds[0] -= 1
+                        raise ServerOverloadedError("test shed")
+                    return await real_roundtrip(frame)
+
+                client._roundtrip = flaky_roundtrip
+                served = await client.fetch_batch(keys)
+                assert client.retries_performed == 1
+                return served
+
+        _assert_identical(reference, keys, asyncio.run(_run()))
+
+    def test_retry_delay_is_seeded_exponential_with_jitter(self):
+        rng = random.Random(0)
+        for attempt in range(4):
+            step = 0.05 * 2**attempt
+            delay = _retry_delay(rng, 0.05, attempt)
+            assert 0.5 * step <= delay < 1.5 * step
+        assert _retry_delay(random.Random(3), 0.05, 0) == _retry_delay(
+            random.Random(3), 0.05, 0
+        )
+
+    def test_retry_validation(self):
+        with pytest.raises(StoreError):
+            PulseClient(("127.0.0.1", 1), retries=-1)
+        with pytest.raises(StoreError):
+            AsyncPulseClient(("127.0.0.1", 1), backoff=-0.1)
+
+    def test_default_is_raise_immediately(self, handle, store):
+        with PulseClient(handle.address) as client:
+            assert (client.retries, client.retries_performed) == (0, 0)
+
+            def always_shed(frame):
+                raise ServerOverloadedError("test shed")
+
+            client._roundtrip = always_shed
+            with pytest.raises(ServerOverloadedError):
+                client.fetch(*store.keys()[0])
+            assert client.retries_performed == 0
