@@ -14,10 +14,10 @@ import numpy as np
 
 from conftest import once
 from repro.compression import compress_waveform
+from repro.compression.codecs.delta import delta_compress
 from repro.core import CompaqtCompiler, adaptive_compress, qubit_gain
 from repro.microarch import ClockModel, idct_resources
 from repro.pulses import Waveform, gaussian_square
-from repro.transforms import delta_compress
 
 
 def test_ablation_window_size_sweep(benchmark, record_table, guadalupe):

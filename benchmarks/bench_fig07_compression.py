@@ -10,8 +10,8 @@ import numpy as np
 
 from conftest import once
 from repro.compression import compress_waveform
+from repro.compression.codecs.delta import delta_compress
 from repro.core import CompaqtCompiler
-from repro.transforms import delta_compress
 
 
 def _qft4_library(guadalupe):
@@ -53,7 +53,7 @@ def test_fig07a_per_waveform_ratios(benchmark, record_table, guadalupe):
                 [
                     waveform.name,
                     f"{_delta_ratio(waveform):.2f}",
-                    f"{compress_waveform(waveform, variant='DCT-N').compression_ratio_variable:.1f}",
+                    f"{compress_waveform(waveform, codec='DCT-N').compression_ratio_variable:.1f}",
                     f"{compress_waveform(waveform, 16, 'DCT-W').compression_ratio_variable:.2f}",
                     f"{compress_waveform(waveform, 16, 'int-DCT-W').compression_ratio_variable:.2f}",
                 ]
@@ -81,7 +81,7 @@ def test_fig07b_overall_qft4_ratio(benchmark, record_table, guadalupe):
                 delta_old += encoded.original_bits
                 delta_new += encoded.encoded_bits
         rows.append(["delta", "-", f"{delta_old / delta_new:.2f}", "1.9"])
-        dctn = CompaqtCompiler(variant="DCT-N").compile_library(library)
+        dctn = CompaqtCompiler(codec="DCT-N").compile_library(library)
         rows.append(["DCT-N", "-", f"{dctn.overall_ratio_variable:.1f}", "126.2"])
         for variant in ("DCT-W", "int-DCT-W"):
             for ws, max_k, paper in (
@@ -89,7 +89,7 @@ def test_fig07b_overall_qft4_ratio(benchmark, record_table, guadalupe):
                 (16, 2, "7.8" if variant == "DCT-W" else "8.0"),
             ):
                 compiled = CompaqtCompiler(
-                    window_size=ws, variant=variant, max_coefficients=max_k
+                    window_size=ws, codec=variant, max_coefficients=max_k
                 ).compile_library(library)
                 rows.append(
                     [
@@ -119,7 +119,7 @@ def test_fig07c_mse(benchmark, record_table, guadalupe):
                 if variant == "DCT-N" and ws == 8:
                     continue
                 compiled = CompaqtCompiler(
-                    window_size=ws, variant=variant
+                    window_size=ws, codec=variant
                 ).compile_library(library)
                 label = "full" if variant == "DCT-N" else f"WS={ws}"
                 rows.append([variant, label, f"{compiled.mean_mse:.2e}"])

@@ -136,7 +136,7 @@ _LibrarySource = Union[str, PulseLibrary]
 def compile_library(
     source: "_LibrarySource",
     window_size: int = 16,
-    codec=None,
+    codec="int-DCT-W",
     **compiler_options,
 ) -> CompressedPulseLibrary:
     """Compile a pulse library in one call.
@@ -152,7 +152,7 @@ def compile_library(
             to ``"int-DCT-W"``.
         **compiler_options: Forwarded to :class:`CompaqtCompiler`
             (``threshold=``, ``fidelity_aware=``, ``target_mse=``,
-            ``max_coefficients=``, ``batched=``).
+            ``max_coefficients=``).
 
     Returns:
         The compiled :class:`CompressedPulseLibrary`; pair with

@@ -22,15 +22,11 @@ Usage::
     python -m repro chaos --quick
     python -m repro chaos --devices bogota,guadalupe --seed 7 --ops 400
     python -m repro chaos --quick --trace-sample-rate 1.0
-
-The ``--variant``/``--variants`` spellings remain accepted everywhere
-as deprecated aliases of ``--codec``/``--codecs``.
 """
 
 from __future__ import annotations
 
 import argparse
-import warnings
 from typing import List, Optional
 
 from repro.analysis import render_table
@@ -39,28 +35,6 @@ from repro.core import CompaqtCompiler, qubit_gain, qubits_supported
 from repro.devices import IBM_DEVICE_NAMES, ibm_device
 
 __all__ = ["main", "build_parser"]
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A flag kept only as a deprecated spelling of another flag.
-
-    The CLI twin of :func:`repro.compression.codecs.resolve_codec_arg`:
-    using the old spelling still works, stores into the canonical
-    destination, and emits one :class:`DeprecationWarning` naming the
-    replacement.
-    """
-
-    def __init__(self, *args, preferred: str, **kwargs):
-        self.preferred = preferred
-        super().__init__(*args, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated; pass {self.preferred} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,14 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="codec name (see `repro codecs`)",
     )
     report.add_argument(
-        "--variant",
-        dest="codec",
-        choices=list_codecs(),
-        action=_DeprecatedAlias,
-        preferred="--codec",
-        help="deprecated alias of --codec",
-    )
-    report.add_argument(
         "--threshold", type=float, default=128, help="coefficient threshold"
     )
     report.add_argument(
@@ -117,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="scalar-vs-batched codec benchmark (JSON + table)",
+        help="codec benchmark: scalar vs batched encode, scalar vs fused "
+        "decode (JSON + table)",
     )
     bench.add_argument(
         "--quick",
@@ -128,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--decode",
         action="store_true",
         help="decode-side profile: skip the scalar compile timing and "
-        "measure batched playback and the wire format only",
+        "measure fused playback and the wire format only",
     )
     bench.add_argument(
         "--serving",
@@ -165,13 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to every registered codec",
     )
     bench.add_argument(
-        "--variants",
-        dest="codecs",
-        action=_DeprecatedAlias,
-        preferred="--codecs",
-        help="deprecated alias of --codecs",
-    )
-    bench.add_argument(
         "--window-size", type=int, default=16, choices=(8, 16, 32)
     )
     bench.add_argument("--repeats", type=int, default=None)
@@ -198,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list_codecs(),
         help="codec to pack with, validated against the registry "
         "(see `repro codecs`)",
-    )
-    pack.add_argument(
-        "--variant",
-        dest="codec",
-        choices=list_codecs(),
-        action=_DeprecatedAlias,
-        preferred="--codec",
-        help="deprecated alias of --codec",
     )
     pack.add_argument(
         "--threshold", type=float, default=128, help="coefficient threshold"
@@ -767,8 +719,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     failures = []
     if not summary["all_parity_ok"]:
         failures.append("batched compression mismatches the scalar reference")
-    if not summary["all_decode_parity_ok"]:
-        failures.append("batched decode mismatches the scalar reference")
     if not summary["all_roundtrip_ok"]:
         failures.append("bitstream round-trip is not lossless")
     if not summary["all_fused_parity_ok"]:

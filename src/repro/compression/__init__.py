@@ -18,12 +18,7 @@ from repro.compression.pipeline import (
     compress_channel,
     decompress_channel,
 )
-from repro.compression.batch import (
-    BatchCompressionResult,
-    compress_batch,
-    decompress_batch,
-    decompress_channels,
-)
+from repro.compression.batch import BatchCompressionResult, compress_batch
 from repro.compression.bitstream import (
     LibraryBitstream,
     LibraryEntry,
@@ -77,8 +72,6 @@ __all__ = [
     "decompress_channel",
     "BatchCompressionResult",
     "compress_batch",
-    "decompress_batch",
-    "decompress_channels",
     "LibraryBitstream",
     "LibraryEntry",
     "parse_library",

@@ -29,34 +29,25 @@ handful of matmuls total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CompressionError
-from repro.compression.codecs import (
-    ensure_registered,
-    resolve_codec,
-    resolve_codec_arg,
-)
+from repro.compression.codecs import ensure_registered, resolve_codec
 from repro.compression.metrics import mean_squared_error
 from repro.compression.pipeline import (
     DEFAULT_THRESHOLD,
+    CodecLike,
     CompressedChannel,
     CompressedWaveform,
     CompressionResult,
-    VariantLike,
 )
 from repro.compression.window import merge_windows, split_windows
 from repro.pulses.waveform import Waveform
-from repro.transforms.rle import rle_encode_blocks, rle_expand_blocks
+from repro.transforms.rle import rle_encode_blocks
 
-__all__ = [
-    "BatchCompressionResult",
-    "compress_batch",
-    "decompress_channels",
-    "decompress_batch",
-]
+__all__ = ["BatchCompressionResult", "compress_batch"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +113,9 @@ class BatchCompressionResult:
 def compress_batch(
     waveforms: Sequence[Waveform],
     window_size: int = 16,
-    codec: Optional[VariantLike] = None,
+    codec: CodecLike = "int-DCT-W",
     threshold: float = DEFAULT_THRESHOLD,
     max_coefficients: int = 0,
-    *,
-    variant: Optional[VariantLike] = None,
 ) -> BatchCompressionResult:
     """Compress many waveforms in one vectorized pass.
 
@@ -135,18 +124,15 @@ def compress_batch(
         window_size: Codec window (8/16/32 for the DCT family); ignored
             by full-frame codecs (DCT-N), which use each pulse's length.
         codec: A registered codec name or a
-            :class:`~repro.compression.codecs.Codec` object; defaults
-            to ``"int-DCT-W"``.
+            :class:`~repro.compression.codecs.Codec` object.
         threshold: Hard threshold in integer coefficient units.
         max_coefficients: Optional per-window top-k cap.
-        variant: Deprecated alias for ``codec``.
 
     Returns:
         A :class:`BatchCompressionResult` whose entries are bit-identical
         to per-pulse :func:`~repro.compression.pipeline.compress_waveform`
         calls with the same configuration.
     """
-    codec = resolve_codec_arg(codec, variant, default="int-DCT-W")
     codec = ensure_registered(resolve_codec(codec))
     if not waveforms:
         raise CompressionError("cannot batch-compress an empty waveform list")
@@ -251,102 +237,3 @@ def compress_batch(
         window_size=window_size,
         threshold=threshold,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batched decode: the symmetric half of the engine.
-#
-# The scalar reference (`decompress_channel`) expands and inverts one
-# window at a time; playing back a whole device library that way costs
-# one Python iteration (and one tiny matmul) per window.  The batched
-# path stacks every window of every channel into one matrix, expands all
-# RLE runs with a single scatter, and inverts the lot with one matmul
-# per distinct window size -- bit-identical to the scalar path, which
-# the conformance suite and the bench decode-parity gate both enforce.
-# ---------------------------------------------------------------------------
-
-
-def decompress_channels(channels: Sequence[CompressedChannel]) -> List[np.ndarray]:
-    """Batched :func:`~repro.compression.pipeline.decompress_channel`.
-
-    All windows of all channels are grouped by ``(window_size, variant)``
-    (one group for a homogeneous library; one per distinct pulse length
-    for DCT-N), RLE-expanded in one pass and inverted in one matmul per
-    group.  Entry ``i`` of the returned list is bit-identical to
-    ``decompress_channel(channels[i])``.
-    """
-    channels = list(channels)
-    if not channels:
-        raise CompressionError("cannot batch-decompress an empty channel list")
-
-    groups: Dict[Tuple[int, str], List[int]] = {}
-    for index, channel in enumerate(channels):
-        groups.setdefault((channel.window_size, channel.variant), []).append(index)
-
-    codes: List[np.ndarray] = [None] * len(channels)
-    for (ws, variant), indices in groups.items():
-        codec = resolve_codec(variant)
-        counts = [channels[i].n_windows for i in indices]
-        stacked_windows = [w for i in indices for w in channels[i].windows]
-        coeffs = rle_expand_blocks(stacked_windows, codec.coeff_count(ws))
-        recon = codec.inverse_blocks(coeffs)
-        offset = 0
-        for i, count in zip(indices, counts):
-            codes[i] = merge_windows(
-                recon[offset : offset + count], channels[i].original_length
-            )
-            offset += count
-    return codes
-
-
-def decompress_batch(
-    compressed: "BatchCompressionResult | Sequence",
-) -> Tuple[Waveform, ...]:
-    """Decompress many waveforms in one vectorized pass.
-
-    Args:
-        compressed: A :class:`BatchCompressionResult`, or any sequence of
-            :class:`~repro.compression.pipeline.CompressedWaveform` /
-            :class:`~repro.compression.pipeline.CompressionResult`
-            entries (mixed variants and window sizes are fine).
-
-    Returns:
-        One reconstructed :class:`~repro.pulses.waveform.Waveform` per
-        input, bit-identical to calling
-        :func:`~repro.compression.pipeline.decompress_waveform` on each
-        entry individually.
-    """
-    if isinstance(compressed, BatchCompressionResult):
-        entries = [r.compressed for r in compressed]
-    else:
-        entries = [
-            e.compressed if isinstance(e, CompressionResult) else e
-            for e in compressed
-        ]
-    if not entries:
-        raise CompressionError("cannot batch-decompress an empty waveform list")
-    for entry in entries:
-        if not isinstance(entry, CompressedWaveform):
-            raise CompressionError(
-                f"expected CompressedWaveform entries, got {type(entry).__name__}"
-            )
-
-    channels: List = []
-    for entry in entries:
-        channels.append(entry.i_channel)
-        channels.append(entry.q_channel)
-    codes = decompress_channels(channels)
-
-    waveforms: List[Waveform] = []
-    for p, entry in enumerate(entries):
-        waveforms.append(
-            Waveform.from_fixed_point(
-                np.clip(codes[2 * p], -32768, 32767).astype(np.int16),
-                np.clip(codes[2 * p + 1], -32768, 32767).astype(np.int16),
-                dt=entry.dt,
-                name=f"{entry.name}~{entry.variant}",
-                gate=entry.gate,
-                qubits=entry.qubits,
-            )
-        )
-    return tuple(waveforms)

@@ -51,10 +51,10 @@ claim new ids; an id this build does not know raises
 :class:`~repro.errors.CompressionError` instead of guessing.
 
 Parsing is total: every malformed input -- truncation, bad magic, an
-unknown tag, a zero-run overflowing its window, payload after the
-codeword, trailing garbage -- raises
-:class:`~repro.errors.CompressionError` rather than yielding garbage
-samples.  Serialization is canonical, so ``serialize(parse(b)) == b``
+unknown tag, a window size the codec cannot invert, a zero-run
+overflowing its window, payload after the codeword, trailing garbage --
+raises :class:`~repro.errors.CompressionError` rather than yielding
+garbage samples.  Serialization is canonical, so ``serialize(parse(b)) == b``
 for every stream this module produced.
 
 **Fast path.**  :func:`parse_waveform` and :func:`parse_library`
@@ -423,8 +423,7 @@ def _read_waveform(reader: _Reader) -> CompressedWaveform:
     if flags != 0:
         raise CompressionError(f"reserved flags 0x{flags:02x} set")
     window_size = reader.unpack("I", "window size")
-    if window_size < 1:
-        raise CompressionError(f"window size must be >= 1, got {window_size}")
+    codec.check_window_size(window_size)
     name = reader.string("waveform name")
     gate = reader.string("gate name")
     n_qubits = reader.unpack("B", "qubit count")

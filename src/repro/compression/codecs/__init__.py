@@ -24,7 +24,6 @@ from repro.compression.codecs.registry import (
     list_codecs,
     register_codec,
     resolve_codec,
-    resolve_codec_arg,
     unregister_codec,
 )
 from repro.compression.codecs.dct import FloatDctCodec, IntDctCodec
@@ -38,7 +37,6 @@ __all__ = [
     "unregister_codec",
     "get_codec",
     "resolve_codec",
-    "resolve_codec_arg",
     "ensure_registered",
     "list_codecs",
     "codec_for_wire_id",

@@ -454,8 +454,9 @@ class _WordData:
     def coeff_matrix(self, refs: Sequence[_ChannelRef], width: int) -> np.ndarray:
         """Dense coefficient matrix for the given channels, stacked.
 
-        Bit-identical to ``rle_expand_blocks`` over the channels'
-        window objects: one zero allocation, one fancy-indexed scatter.
+        Row ``j`` is bit-identical to ``rle_decode_window`` of the
+        ``j``-th window object: one zero allocation, one fancy-indexed
+        scatter.
         """
         n_refs = len(refs)
         lens = np.fromiter(
@@ -527,8 +528,7 @@ def _scan_record(cursor: _Cursor, batch: _ScanBatch) -> _RecordScan:
     codec = bitstream._codec_for_id(variant_id)
     if flags != 0:
         raise CompressionError(f"reserved flags 0x{flags:02x} set")
-    if window_size < 1:
-        raise CompressionError(f"window size must be >= 1, got {window_size}")
+    codec.check_window_size(window_size)
     name = cursor.string("waveform name")
     gate = cursor.string("gate name")
     qubits = _read_qubits(cursor)
@@ -661,11 +661,13 @@ def _decode_scans(
 ) -> List[Waveform]:
     """Decode scanned records through one inverse kernel per group.
 
-    The channel grouping mirrors
-    :func:`repro.compression.batch.decompress_channels` -- group by
-    ``(window_size, codec)``, expand, one ``inverse_blocks`` call per
-    group -- so the output is bit-identical to the batched engine (and
-    therefore to the scalar reference the PR 2 conformance suite pins).
+    Channels are grouped by ``(window_size, codec)``, expanded into one
+    dense coefficient matrix per group, and inverted with one
+    ``inverse_blocks`` call per group.  The codecs' block kernels are
+    row-wise identical to their scalar ``inverse``, so the output is
+    bit-identical to the scalar reference
+    (:func:`~repro.compression.pipeline.decompress_waveform`), which
+    ``tests/test_batch_decompression.py`` pins.
     """
     channels: List[Tuple[_ChannelRef, Codec, int]] = []
     for scan in scans:

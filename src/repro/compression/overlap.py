@@ -28,7 +28,7 @@ from repro.errors import CompressionError
 from repro.compression.codecs import ensure_registered, resolve_codec
 from repro.compression.metrics import mean_squared_error
 from repro.compression.pipeline import (
-    VariantLike,
+    CodecLike,
     forward_transform,
     inverse_transform,
 )
@@ -108,7 +108,7 @@ def _crossfade(window_size: int) -> np.ndarray:
 def compress_channel_overlapping(
     codes: np.ndarray,
     window_size: int,
-    variant: VariantLike = "int-DCT-W",
+    variant: CodecLike = "int-DCT-W",
     threshold: float = 128,
     max_coefficients: int = 0,
 ) -> OverlappingChannel:
@@ -172,7 +172,7 @@ def decompress_channel_overlapping(channel: OverlappingChannel) -> np.ndarray:
 def compress_waveform_overlapping(
     waveform: Waveform,
     window_size: int = 8,
-    variant: VariantLike = "int-DCT-W",
+    variant: CodecLike = "int-DCT-W",
     threshold: float = 128,
     max_coefficients: int = 0,
 ) -> OverlappingCompressionResult:

@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.errors import CompressionError, DeviceError
-from repro.compression.batch import compress_batch, decompress_batch
-from repro.compression.codecs import resolve_codec, resolve_codec_arg
+from repro.compression.batch import compress_batch
+from repro.compression.codecs import resolve_codec
 from repro.compression.bitstream import (
     LibraryBitstream,
     LibraryEntry,
     parse_library,
     serialize_library,
 )
+from repro.compression.fastpath import decode_library_bytes
 from repro.compression.pipeline import (
+    CodecLike,
     CompressionResult,
-    VariantLike,
     DEFAULT_THRESHOLD,
     compress_waveform,
 )
@@ -174,7 +175,8 @@ class CompressedPulseLibrary:
         """Rebuild a library from its bitstream.
 
         The compressed streams round-trip losslessly; the as-played
-        waveforms are regenerated through the batched decode engine,
+        waveforms are regenerated through the fused decoder
+        (:func:`~repro.compression.fastpath.decode_library_bytes`),
         which is bit-identical to the scalar decompressor, so a loaded
         library is interchangeable with a freshly compiled one.
         """
@@ -184,20 +186,17 @@ class CompressedPulseLibrary:
             window_size=parsed.window_size,
             variant=parsed.variant,
         )
-        if parsed.entries:
-            reconstructed = decompress_batch(
-                [entry.compressed for entry in parsed.entries]
+        decoded = decode_library_bytes(data)
+        for entry, (_gate, _qubits, waveform) in zip(parsed.entries, decoded):
+            library.add(
+                (entry.gate, entry.qubits),
+                CompressionResult(
+                    compressed=entry.compressed,
+                    reconstructed=waveform,
+                    mse=entry.mse,
+                    threshold=entry.threshold,
+                ),
             )
-            for entry, waveform in zip(parsed.entries, reconstructed):
-                library.add(
-                    (entry.gate, entry.qubits),
-                    CompressionResult(
-                        compressed=entry.compressed,
-                        reconstructed=waveform,
-                        mse=entry.mse,
-                        threshold=entry.threshold,
-                    ),
-                )
         return library
 
     def save(self, path: Union[str, pathlib.Path]) -> pathlib.Path:
@@ -235,46 +234,34 @@ class CompaqtCompiler:
             by full-frame codecs such as DCT-N).
         codec: A registered codec name (``"int-DCT-W"``, ``"delta"``,
             ...) or a first-class
-            :class:`~repro.compression.codecs.Codec` object; defaults
-            to ``"int-DCT-W"``.
+            :class:`~repro.compression.codecs.Codec` object.
         threshold: Fixed hard threshold (coefficient codes) when
             fidelity-aware search is off.
         fidelity_aware: Enable Algorithm 1's per-pulse threshold search.
         target_mse: Algorithm 1's ε.
-        batched: Compress whole libraries through the vectorized batch
-            engine (one matmul per library instead of one per window).
-            Bit-identical to the scalar path; set False to force the
-            per-window reference implementation.
-        variant: Deprecated alias for ``codec``.
+        max_coefficients: Optional per-window top-k cap.
 
     Attributes:
         codec: The resolved :class:`~repro.compression.codecs.Codec`.
-        variant: Its canonical name (kept for library metadata and
-            back-compat with the string API).
+        variant: Its canonical name (the library metadata field).
     """
 
     def __init__(
         self,
         window_size: int = 16,
-        codec: Optional[VariantLike] = None,
+        codec: CodecLike = "int-DCT-W",
         threshold: float = DEFAULT_THRESHOLD,
         fidelity_aware: bool = False,
         target_mse: float = DEFAULT_TARGET_MSE,
         max_coefficients: int = 0,
-        batched: bool = True,
-        *,
-        variant: Optional[VariantLike] = None,
     ) -> None:
         self.window_size = window_size
-        self.codec = resolve_codec(
-            resolve_codec_arg(codec, variant, default="int-DCT-W")
-        )
+        self.codec = resolve_codec(codec)
         self.variant = self.codec.name
         self.threshold = threshold
         self.fidelity_aware = fidelity_aware
         self.target_mse = target_mse
         self.max_coefficients = max_coefficients
-        self.batched = batched
 
     def compile_waveform(self, waveform: Waveform) -> CompressionResult:
         """Compress a single pulse under this configuration."""
@@ -296,10 +283,11 @@ class CompaqtCompiler:
     def compile_library(self, library: PulseLibrary) -> CompressedPulseLibrary:
         """Compress every entry of a device's pulse library.
 
-        The default path stacks the whole library into one window matrix
-        and compresses it in a single vectorized pass (see
-        :func:`repro.compression.batch.compress_batch`); fidelity-aware
-        mode needs a per-pulse threshold search and stays scalar.
+        The whole library is stacked into one window matrix and
+        compressed in a single vectorized pass (see
+        :func:`repro.compression.batch.compress_batch`), bit-identical
+        to :meth:`compile_waveform` pulse by pulse; fidelity-aware mode
+        needs a per-pulse threshold search and stays scalar.
         """
         if len(library) == 0:
             raise CompressionError("cannot compile an empty pulse library")
@@ -309,7 +297,7 @@ class CompaqtCompiler:
             variant=self.variant,
         )
         keys = library.keys()
-        if self.batched and not self.fidelity_aware:
+        if not self.fidelity_aware:
             batch = compress_batch(
                 [library.waveform(*key) for key in keys],
                 window_size=self.window_size,

@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import CompressionError
-from repro.compression.codecs import resolve_codec, resolve_codec_arg
+from repro.compression.codecs import resolve_codec
 from repro.compression.pipeline import (
+    CodecLike,
     CompressionResult,
-    VariantLike,
     compress_waveform,
 )
 from repro.pulses.waveform import Waveform
@@ -35,10 +35,8 @@ def fidelity_aware_compress(
     waveform: Waveform,
     target_mse: float = DEFAULT_TARGET_MSE,
     window_size: int = 16,
-    codec: Optional[VariantLike] = None,
+    codec: CodecLike = "int-DCT-W",
     initial_threshold: Optional[float] = None,
-    *,
-    variant: Optional[VariantLike] = None,
 ) -> CompressionResult:
     """Compress ``waveform`` with the largest threshold meeting the target.
 
@@ -56,7 +54,6 @@ def fidelity_aware_compress(
             (int-DCT-W in the paper, the default).
         initial_threshold: Starting threshold in coefficient codes;
             defaults to 1/8 of full scale.
-        variant: Deprecated alias for ``codec``.
 
     Returns:
         The first (most compressed) result meeting the target.
@@ -67,7 +64,7 @@ def fidelity_aware_compress(
     """
     if target_mse <= 0:
         raise CompressionError(f"target MSE must be positive, got {target_mse}")
-    codec = resolve_codec(resolve_codec_arg(codec, variant, default="int-DCT-W"))
+    codec = resolve_codec(codec)
     threshold = float(initial_threshold) if initial_threshold else 4096.0
     while threshold >= _MIN_THRESHOLD:
         result = compress_waveform(

@@ -6,18 +6,17 @@ heavy-hex family, Google grid, fluxonium) and every registered codec
 dictionary) it measures three pipelines over a full pulse-library
 compile:
 
-* **encode** -- the per-window scalar reference vs the vectorized batch
-  engine (PR 1), with a bit-identity parity check between the two;
-* **decode** -- per-window scalar playback
-  (:func:`~repro.compression.pipeline.decompress_waveform`) vs the
-  batched decode engine
-  (:func:`~repro.compression.batch.decompress_batch`), again gated on
-  bit-identical samples, plus the **fused cold-miss path**
+* **encode** -- a per-pulse loop over the scalar reference
+  (:func:`~repro.compression.pipeline.compress_waveform`) vs the
+  library compile through the vectorized batch engine, with a
+  bit-identity parity check between the two;
+* **decode** -- the **fused cold-miss path**
   (:func:`~repro.compression.fastpath.decode_records`: record bytes
   straight to decoded waveforms) vs the scalar reader + scalar decoder
-  -- the pre-fastpath serving miss pipeline.  The fused side carries
-  the repo's >=10x speedup gate on windowed codecs
-  (:data:`FUSED_SPEEDUP_GATE`) on top of its bit-identity gate;
+  (:func:`~repro.compression.bitstream.parse_waveform_scalar` +
+  :func:`~repro.compression.pipeline.decompress_waveform`), gated on
+  bit-identical samples and on the repo's >=10x speedup on windowed
+  codecs (:data:`FUSED_SPEEDUP_GATE`);
 * **bitstream** -- wire-format serialize/parse throughput (the default
   vectorized parser and the scalar oracle side by side, with an
   object-equality parity gate) plus a canonical round-trip check
@@ -43,7 +42,6 @@ import numpy as np
 
 from repro.errors import DeviceError
 from repro.analysis.report import render_table
-from repro.compression.batch import decompress_batch
 from repro.compression.bitstream import (
     parse_library,
     parse_library_scalar,
@@ -53,7 +51,7 @@ from repro.compression.bitstream import (
 )
 from repro.compression.codecs import get_codec, list_codecs
 from repro.compression.fastpath import decode_records
-from repro.compression.pipeline import decompress_waveform
+from repro.compression.pipeline import compress_waveform, decompress_waveform
 from repro.core.compiler import CompaqtCompiler, CompressedPulseLibrary
 from repro.devices import IBM_DEVICE_NAMES, fluxonium_device, google_device, ibm_device
 from repro.perf.runner import TimingStats, time_callable
@@ -73,7 +71,7 @@ __all__ = [
     "write_bench_json",
 ]
 
-BENCH_SCHEMA = "compaqt-bench-compression/v4"
+BENCH_SCHEMA = "compaqt-bench-compression/v5"
 
 #: Committed-baseline gate: the fused bytes->waveform cold-miss path
 #: must beat the scalar reader + scalar decoder by at least this factor
@@ -123,24 +121,24 @@ def _timing_dict(stats: TimingStats, samples: int, pulses: int) -> Dict[str, flo
     return out
 
 
-def _encode_parity_ok(scalar_lib, batched_lib) -> bool:
-    """True iff both compiles produced bit-identical compressed streams."""
-    keys = scalar_lib.keys()
-    if set(keys) != set(batched_lib.keys()):
+def _encode_parity_ok(keys, scalar_results, compiled) -> bool:
+    """True iff the per-pulse loop and the library compile produced
+    bit-identical compressed streams."""
+    if len(compiled) != len(keys):
         return False
-    for key in keys:
-        s, b = scalar_lib.result(*key), batched_lib.result(*key)
+    for key, s in zip(keys, scalar_results):
+        b = compiled.result(*key)
         if s.compressed != b.compressed or s.mse != b.mse:
             return False
     return True
 
 
-def _decode_parity_ok(scalar_waveforms, batched_waveforms) -> bool:
-    """True iff scalar and batched playback emit bit-identical samples."""
-    if len(scalar_waveforms) != len(batched_waveforms):
+def _decode_parity_ok(scalar_waveforms, fused_waveforms) -> bool:
+    """True iff scalar and fused playback emit bit-identical samples."""
+    if len(scalar_waveforms) != len(fused_waveforms):
         return False
-    for s, b in zip(scalar_waveforms, batched_waveforms):
-        if s.name != b.name or not np.array_equal(s.samples, b.samples):
+    for s, f in zip(scalar_waveforms, fused_waveforms):
+        if s.name != f.name or not np.array_equal(s.samples, f.samples):
             return False
     return True
 
@@ -148,21 +146,26 @@ def _decode_parity_ok(scalar_waveforms, batched_waveforms) -> bool:
 def _bench_encode(
     library, compiler_kwargs: Dict, repeats: int, warmup: int
 ) -> tuple[Dict, "CompressedPulseLibrary"]:
-    scalar = CompaqtCompiler(batched=False, **compiler_kwargs)
-    batched = CompaqtCompiler(batched=True, **compiler_kwargs)
+    compiler = CompaqtCompiler(**compiler_kwargs)
+    keys = library.keys()
     n_pulses = len(library)
     total_samples = library.total_samples
-    scalar_stats, scalar_lib = time_callable(
-        lambda: scalar.compile_library(library), repeats, warmup
+    scalar_stats, scalar_results = time_callable(
+        lambda: [
+            compress_waveform(library.waveform(*key), **compiler_kwargs)
+            for key in keys
+        ],
+        repeats,
+        warmup,
     )
     batched_stats, batched_lib = time_callable(
-        lambda: batched.compile_library(library), repeats, warmup
+        lambda: compiler.compile_library(library), repeats, warmup
     )
     section = {
         "scalar": _timing_dict(scalar_stats, total_samples, n_pulses),
         "batched": _timing_dict(batched_stats, total_samples, n_pulses),
         "speedup": scalar_stats.best_s / batched_stats.best_s,
-        "parity": _encode_parity_ok(scalar_lib, batched_lib),
+        "parity": _encode_parity_ok(keys, scalar_results, batched_lib),
     }
     return section, batched_lib
 
@@ -171,12 +174,6 @@ def _bench_decode(compiled, repeats: int, warmup: int) -> Dict:
     entries = [result.compressed for _key, result in compiled]
     total_samples = sum(e.original_samples for e in entries)
     n_pulses = len(entries)
-    scalar_stats, scalar_out = time_callable(
-        lambda: [decompress_waveform(e) for e in entries], repeats, warmup
-    )
-    batched_stats, batched_out = time_callable(
-        lambda: decompress_batch(entries), repeats, warmup
-    )
 
     # The serving cold-miss pipeline, both generations: the scalar
     # reader + scalar decoder (record bytes -> objects -> samples, one
@@ -206,10 +203,6 @@ def _bench_decode(compiled, repeats: int, warmup: int) -> Dict:
         if gc_was_enabled:
             gc.enable()
     return {
-        "scalar": _timing_dict(scalar_stats, total_samples, n_pulses),
-        "batched": _timing_dict(batched_stats, total_samples, n_pulses),
-        "speedup": scalar_stats.best_s / batched_stats.best_s,
-        "parity": _decode_parity_ok(scalar_out, batched_out),
         "scalar_cold": _timing_dict(scalar_cold_stats, total_samples, n_pulses),
         "fused": _timing_dict(fused_stats, total_samples, n_pulses),
         "fused_speedup": scalar_cold_stats.best_s / fused_stats.best_s,
@@ -269,9 +262,10 @@ def run_compression_bench(
 
     Returns the machine-readable payload (plain dicts/lists/floats, JSON
     serializable as-is; schema v3 adds the per-codec ``codecs``
-    aggregation).  The ``summary`` gates -- ``all_parity_ok``,
-    ``all_decode_parity_ok``, ``all_roundtrip_ok`` -- are the
-    bit-identity verdicts CI fails on.
+    aggregation, v5 drops the batched-decode leg).  The ``summary``
+    verdicts -- ``all_parity_ok`` (encode), ``all_fused_parity_ok``,
+    ``all_parse_parity_ok``, ``all_roundtrip_ok`` and
+    ``fused_speedup_gate_ok`` -- are what ``repro bench`` exits on.
     """
     if variants is None:
         variants = tuple(list_codecs())
@@ -292,9 +286,7 @@ def run_compression_bench(
             if threshold is not None:
                 kwargs["threshold"] = threshold
             if mode == "decode":
-                compiled = CompaqtCompiler(batched=True, **kwargs).compile_library(
-                    library
-                )
+                compiled = CompaqtCompiler(**kwargs).compile_library(library)
                 encode_section = None
             else:
                 encode_section, compiled = _bench_encode(
@@ -336,7 +328,7 @@ def run_compression_bench(
     codecs_section: Dict[str, Dict] = {}
     for variant in variants:
         rows = [e for e in entries if e["variant"] == variant]
-        enc, dec = _speedups(rows, "encode"), _speedups(rows, "decode")
+        enc = _speedups(rows, "encode")
         fused = _speedups(rows, "decode", "fused_speedup")
         parse = _speedups(rows, "bitstream", "parse_speedup")
         codecs_section[variant] = {
@@ -348,9 +340,6 @@ def run_compression_bench(
                 "max_speedup": max(enc) if enc else None,
             },
             "decode": {
-                "parity_ok": _gate(rows, "decode", "parity"),
-                "min_speedup": min(dec) if dec else None,
-                "max_speedup": max(dec) if dec else None,
                 "fused_parity_ok": _gate(rows, "decode", "fused_parity"),
                 "min_fused_speedup": min(fused) if fused else None,
                 "max_fused_speedup": max(fused) if fused else None,
@@ -367,7 +356,6 @@ def run_compression_bench(
         }
 
     encode_speedups = _speedups(entries, "encode")
-    decode_speedups = _speedups(entries, "decode")
     fused_speedups = _speedups(entries, "decode", "fused_speedup")
     windowed_fused = [
         s
@@ -392,14 +380,11 @@ def run_compression_bench(
         "codecs": codecs_section,
         "summary": {
             "all_parity_ok": _gate(entries, "encode", "parity"),
-            "all_decode_parity_ok": _gate(entries, "decode", "parity"),
             "all_roundtrip_ok": _gate(entries, "bitstream", "roundtrip_ok"),
             "all_fused_parity_ok": _gate(entries, "decode", "fused_parity"),
             "all_parse_parity_ok": _gate(entries, "bitstream", "parse_parity"),
             "min_speedup": min(encode_speedups) if encode_speedups else None,
             "max_speedup": max(encode_speedups) if encode_speedups else None,
-            "min_decode_speedup": min(decode_speedups) if decode_speedups else None,
-            "max_decode_speedup": max(decode_speedups) if decode_speedups else None,
             "min_fused_speedup": min(fused_speedups) if fused_speedups else None,
             "max_fused_speedup": max(fused_speedups) if fused_speedups else None,
             "min_fused_speedup_windowed": (
@@ -423,9 +408,7 @@ def _fmt_speedup(section: Optional[Dict]) -> str:
 def _entry_gates_ok(entry: Dict) -> bool:
     if entry["encode"] is not None and not entry["encode"]["parity"]:
         return False
-    if entry["decode"] is not None and not (
-        entry["decode"]["parity"] and entry["decode"]["fused_parity"]
-    ):
+    if entry["decode"] is not None and not entry["decode"]["fused_parity"]:
         return False
     if entry["bitstream"] is not None and not (
         entry["bitstream"]["roundtrip_ok"] and entry["bitstream"]["parse_parity"]
@@ -446,7 +429,6 @@ def render_bench_table(payload: Dict) -> str:
                 e["variant"],
                 e["n_pulses"],
                 _fmt_speedup(e["encode"]),
-                _fmt_speedup(e["decode"]),
                 f"{decode['fused_speedup']:.1f}x" if decode else "-",
                 f"{bitstream['parse_speedup']:.1f}x" if bitstream else "-",
                 f"{e['compression_ratio_variable']:.2f}",
@@ -456,7 +438,6 @@ def render_bench_table(payload: Dict) -> str:
     summary = payload["summary"]
     gates_ok = (
         summary["all_parity_ok"]
-        and summary["all_decode_parity_ok"]
         and summary["all_roundtrip_ok"]
         and summary["all_fused_parity_ok"]
         and summary["all_parse_parity_ok"]
@@ -465,11 +446,6 @@ def render_bench_table(payload: Dict) -> str:
     if summary["min_speedup"] is not None:
         notes.append(
             f"encode {summary['min_speedup']:.1f}x..{summary['max_speedup']:.1f}x"
-        )
-    if summary["min_decode_speedup"] is not None:
-        notes.append(
-            f"decode {summary['min_decode_speedup']:.1f}x"
-            f"..{summary['max_decode_speedup']:.1f}x"
         )
     if summary["min_fused_speedup"] is not None:
         notes.append(
@@ -480,7 +456,7 @@ def render_bench_table(payload: Dict) -> str:
         )
     notes.append(f"parity {'ok' if gates_ok else 'FAILED'}")
     return render_table(
-        "Library codec: scalar vs batched vs fused "
+        "Library codec: scalar vs batched encode, scalar vs fused decode "
         f"(WS={payload['config']['window_size']}, "
         f"mode={payload['config']['mode']})",
         [
@@ -488,7 +464,6 @@ def render_bench_table(payload: Dict) -> str:
             "variant",
             "pulses",
             "enc speedup",
-            "dec speedup",
             "fused miss",
             "parse",
             "R(var)",

@@ -10,8 +10,7 @@ cost by grouping miss reads per shard (sequential, mmap-backed I/O)
 and pushing *all* missed records through the fused parse→decode fast
 path (:meth:`repro.store.sharded.ShardedStore.decode_many`, built on
 :mod:`repro.compression.fastpath`) in one call instead of decoding
-pulse by pulse -- bit-identical to the batched engine and the scalar
-reference.
+pulse by pulse -- bit-identical to the scalar reference.
 
 The cache is thread-safe (a single reentrant lock guards the LRU map
 and counters) but deliberately does **not** deduplicate concurrent
@@ -128,9 +127,6 @@ class CacheStats:
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
         }
-
-    # Historical spelling; ``as_dict`` is the shared stats-object surface.
-    to_dict = as_dict
 
 
 class PulseCache:

@@ -71,9 +71,6 @@ class ServerStats:
             "cache": self.cache.as_dict(),
         }
 
-    # Historical spelling; ``as_dict`` is the shared stats-object surface.
-    to_dict = as_dict
-
 
 class PulseServer:
     """Thread-safe ``fetch`` / ``fetch_batch`` over store + cache.

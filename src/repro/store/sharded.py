@@ -911,9 +911,9 @@ class ShardedStore:
         Returns a :class:`~repro.core.compiler.CompressedPulseLibrary`
         interchangeable with one loaded from the monolithic ``CQL1``
         file -- the compatibility bridge for consumers that still want
-        everything decoded up front.
+        everything decoded up front.  Samples come from the fused
+        decoder (:meth:`decode_shard` / :meth:`decode_many`).
         """
-        from repro.compression.batch import decompress_batch
         from repro.compression.pipeline import CompressionResult
         from repro.core.compiler import CompressedPulseLibrary
 
@@ -926,41 +926,40 @@ class ShardedStore:
             # A CQS2 generation's shard files still hold superseded and
             # tombstoned record bytes; only the manifest index is truth.
             keys = self.keys()
-            compressed = self.read_many(keys)
-            if keys:
-                reconstructed = decompress_batch(compressed)
-                for key, parsed, waveform in zip(keys, compressed, reconstructed):
-                    info = self._index[key]
-                    library.add(
-                        key,
-                        CompressionResult(
-                            compressed=parsed,
-                            reconstructed=waveform,
-                            mse=info.mse,
-                            threshold=info.threshold,
-                        ),
-                    )
+            for key, parsed, waveform in zip(
+                keys, self.read_many(keys), self.decode_many(keys)
+            ):
+                info = self._index[key]
+                library.add(
+                    key,
+                    CompressionResult(
+                        compressed=parsed,
+                        reconstructed=waveform,
+                        mse=info.mse,
+                        threshold=info.threshold,
+                    ),
+                )
             return library
         entries: List[LibraryEntry] = []
+        waveforms: List[Waveform] = []
         for shard in range(self.shard_count):
             entries.extend(self.read_shard(shard).entries)
-        if self.generation == 0 and len(entries) != len(self._index):
+            waveforms.extend(waveform for _key, waveform in self.decode_shard(shard))
+        if len(entries) != len(self._index):
             raise StoreError(
                 f"shards hold {len(entries)} entries, manifest indexes "
                 f"{len(self._index)}"
             )
-        if entries:
-            reconstructed = decompress_batch([e.compressed for e in entries])
-            for entry, waveform in zip(entries, reconstructed):
-                library.add(
-                    (entry.gate, entry.qubits),
-                    CompressionResult(
-                        compressed=entry.compressed,
-                        reconstructed=waveform,
-                        mse=entry.mse,
-                        threshold=entry.threshold,
-                    ),
-                )
+        for entry, waveform in zip(entries, waveforms):
+            library.add(
+                (entry.gate, entry.qubits),
+                CompressionResult(
+                    compressed=entry.compressed,
+                    reconstructed=waveform,
+                    mse=entry.mse,
+                    threshold=entry.threshold,
+                ),
+            )
         return library
 
     @property

@@ -36,7 +36,6 @@ __all__ = [
     "rle_encode_window",
     "rle_encode_blocks",
     "rle_decode_window",
-    "rle_expand_blocks",
 ]
 
 #: Memory-word tags.  Real hardware reserves signature bits inside the
@@ -161,43 +160,4 @@ def rle_decode_window(window: EncodedWindow) -> np.ndarray:
     out = np.zeros(window.window_size, dtype=np.int64)
     if window.coeffs:
         out[: len(window.coeffs)] = window.coeffs
-    return out
-
-
-def rle_expand_blocks(
-    windows: Sequence[EncodedWindow], window_size: int
-) -> np.ndarray:
-    """Expand many encoded windows into one ``(n_windows, ws)`` matrix.
-
-    Vectorized counterpart of :func:`rle_decode_window` and the decode
-    twin of :func:`rle_encode_blocks`: the zeros of every trailing run
-    come from one ``np.zeros`` allocation and only the (short) kept
-    coefficient prefixes are scattered in, via a single fancy-indexed
-    assignment.  Output row ``j`` is element-wise identical to
-    ``rle_decode_window(windows[j])``.
-    """
-    if window_size < 1:
-        raise CompressionError(f"window size must be >= 1, got {window_size}")
-    windows = tuple(windows)
-    if not windows:
-        raise CompressionError("cannot expand an empty window sequence")
-    for window in windows:
-        if window.window_size != window_size:
-            raise CompressionError(
-                f"window decodes to {window.window_size} samples, "
-                f"expected {window_size}"
-            )
-    out = np.zeros((len(windows), window_size), dtype=np.int64)
-    lengths = np.fromiter(
-        (len(w.coeffs) for w in windows), dtype=np.int64, count=len(windows)
-    )
-    total = int(lengths.sum())
-    if total:
-        flat = np.fromiter(
-            (c for w in windows for c in w.coeffs), dtype=np.int64, count=total
-        )
-        rows = np.repeat(np.arange(len(windows)), lengths)
-        starts = np.cumsum(lengths) - lengths
-        cols = np.arange(total) - np.repeat(starts, lengths)
-        out[rows, cols] = flat
     return out

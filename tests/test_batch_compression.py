@@ -78,33 +78,31 @@ class TestDeviceParity:
         if variant == "DCT-N" and window_size != WINDOW_SIZES[0]:
             pytest.skip("DCT-N ignores window size")
         _assert_bit_identical(
-            bogota_waveforms, window_size=window_size, variant=variant
+            bogota_waveforms, window_size=window_size, codec=variant
         )
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_fluxonium_streams_bit_identical(self, fluxonium_waveforms, variant):
-        _assert_bit_identical(fluxonium_waveforms, window_size=16, variant=variant)
+        _assert_bit_identical(fluxonium_waveforms, window_size=16, codec=variant)
 
     def test_top_k_cap_parity(self, bogota_waveforms):
         _assert_bit_identical(
-            bogota_waveforms, window_size=8, variant="int-DCT-W", max_coefficients=2
+            bogota_waveforms, window_size=8, codec="int-DCT-W", max_coefficients=2
         )
 
     def test_zero_threshold_parity(self, bogota_waveforms):
         _assert_bit_identical(
-            bogota_waveforms[:4], window_size=16, variant="DCT-W", threshold=0
+            bogota_waveforms[:4], window_size=16, codec="DCT-W", threshold=0
         )
 
     def test_compiler_batched_matches_scalar(self, bogota_waveforms):
         library = ibm_device("bogota").pulse_library()
-        batched = CompaqtCompiler(window_size=16).compile_library(library)
-        scalar = CompaqtCompiler(window_size=16, batched=False).compile_library(
-            library
-        )
-        assert batched.overall_ratio == scalar.overall_ratio
-        assert batched.mean_mse == scalar.mean_mse
+        compiler = CompaqtCompiler(window_size=16)
+        batched = compiler.compile_library(library)
         for key in library.keys():
-            assert batched.result(*key).compressed == scalar.result(*key).compressed
+            scalar = compiler.compile_waveform(library.waveform(*key))
+            assert batched.result(*key).compressed == scalar.compressed
+            assert batched.result(*key).mse == scalar.mse
 
 
 class TestBatchResult:
@@ -132,7 +130,7 @@ class TestBatchResult:
         with pytest.raises(CompressionError):
             compress_batch(bogota_waveforms, max_coefficients=-1)
         with pytest.raises(CompressionError):
-            compress_batch(bogota_waveforms, variant="nope")
+            compress_batch(bogota_waveforms, codec="nope")
 
 
 int16s = st.integers(min_value=-32768, max_value=32767)

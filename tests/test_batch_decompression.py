@@ -1,12 +1,12 @@
-"""Cross-layer decode conformance: scalar, batched, and cycle-level.
+"""Cross-layer decode conformance: scalar, fused, and cycle-level.
 
 COMPAQT's guarantees only hold if every decode path plays back exactly
 what the compiler stored.  These tests hold the three implementations --
 the scalar reference (`decompress_channel` / `decompress_waveform`), the
-vectorized batch engine (`decompress_channels` / `decompress_batch`),
+fused wire-bytes decoder (`decode_record_bytes` / `decode_records`),
 and the cycle-level microarchitecture (`DecompressionPipeline`) --
 bit-identical across random waveforms, thresholds, window sizes and all
-pipeline variants.
+registered codecs.
 """
 
 import numpy as np
@@ -18,8 +18,9 @@ from repro.errors import CompressionError
 from repro.compression import (
     compress_batch,
     compress_waveform,
-    decompress_batch,
-    decompress_channels,
+    decode_record_bytes,
+    decode_records,
+    serialize_waveform,
 )
 from repro.compression.pipeline import (
     decompress_channel,
@@ -61,22 +62,21 @@ def waveforms(draw, min_size=1, max_size=96):
 thresholds = st.integers(min_value=0, max_value=2000)
 
 
-def _assert_three_way_identical(compressed, check_microarch: bool) -> None:
-    """Scalar, batched, and (optionally) cycle-level decode all agree."""
-    scalar_i = decompress_channel(compressed.i_channel)
-    scalar_q = decompress_channel(compressed.q_channel)
-    batched_i, batched_q = decompress_channels(
-        [compressed.i_channel, compressed.q_channel]
-    )
-    np.testing.assert_array_equal(batched_i, scalar_i)
-    np.testing.assert_array_equal(batched_q, scalar_q)
+def _fused(entries):
+    """Fused decode of compressed waveforms via their wire bytes."""
+    return decode_records([serialize_waveform(entry) for entry in entries])
 
+
+def _assert_three_way_identical(compressed, check_microarch: bool) -> None:
+    """Scalar, fused, and (optionally) cycle-level decode all agree."""
     reference = decompress_waveform(compressed)
-    (batched_wf,) = decompress_batch([compressed])
-    assert batched_wf.name == reference.name
-    np.testing.assert_array_equal(batched_wf.samples, reference.samples)
+    fused = decode_record_bytes(serialize_waveform(compressed))
+    assert fused.name == reference.name
+    np.testing.assert_array_equal(fused.samples, reference.samples)
 
     if check_microarch:
+        scalar_i = decompress_channel(compressed.i_channel)
+        scalar_q = decompress_channel(compressed.q_channel)
         report = DecompressionPipeline(16).stream(compressed)
         np.testing.assert_array_equal(report.i_samples, scalar_i)
         np.testing.assert_array_equal(report.q_samples, scalar_q)
@@ -89,7 +89,7 @@ class TestRandomWaveformConformance:
     @settings(max_examples=25, deadline=None)
     def test_windowed_variants_all_paths(self, variant, window_size, waveform, threshold):
         compressed = compress_waveform(
-            waveform, window_size=window_size, variant=variant, threshold=threshold
+            waveform, window_size=window_size, codec=variant, threshold=threshold
         ).compressed
         _assert_three_way_identical(
             compressed, check_microarch=variant in MICROARCH_VARIANTS
@@ -102,7 +102,7 @@ class TestRandomWaveformConformance:
         """delta and dictionary are exact at threshold 0: the decoded
         sample codes equal the quantized input codes bit for bit."""
         result = compress_waveform(
-            waveform, window_size=16, variant=variant, threshold=0
+            waveform, window_size=16, codec=variant, threshold=0
         )
         i_codes, q_codes = waveform.to_fixed_point()
         out_i, out_q = result.reconstructed.to_fixed_point()
@@ -112,8 +112,9 @@ class TestRandomWaveformConformance:
     @given(waveform=waveforms(), threshold=thresholds)
     @settings(max_examples=40, deadline=None)
     def test_dct_n_scalar_vs_batched(self, waveform, threshold):
+        """Full-frame DCT-N: one window per pulse, any length."""
         compressed = compress_waveform(
-            waveform, variant="DCT-N", threshold=threshold
+            waveform, codec="DCT-N", threshold=threshold
         ).compressed
         _assert_three_way_identical(compressed, check_microarch=False)
 
@@ -122,7 +123,7 @@ class TestRandomWaveformConformance:
     def test_single_window_pulses(self, waveform):
         """Pulses shorter than one window exercise the padded tail alone."""
         compressed = compress_waveform(
-            waveform, window_size=8, variant="int-DCT-W"
+            waveform, window_size=8, codec="int-DCT-W"
         ).compressed
         assert compressed.n_windows == 1
         _assert_three_way_identical(compressed, check_microarch=True)
@@ -133,7 +134,7 @@ class TestLibraryConformance:
     def libraries(self):
         library = ibm_device("lima").pulse_library()
         return {
-            variant: CompaqtCompiler(variant=variant).compile_library(library)
+            variant: CompaqtCompiler(codec=variant).compile_library(library)
             for variant in VARIANTS
         }
 
@@ -141,8 +142,7 @@ class TestLibraryConformance:
     def test_batch_decode_matches_scalar_per_pulse(self, libraries, variant):
         compiled = libraries[variant]
         entries = [result.compressed for _key, result in compiled]
-        batched = decompress_batch(entries)
-        for entry, waveform in zip(entries, batched):
+        for entry, waveform in zip(entries, _fused(entries)):
             reference = decompress_waveform(entry)
             np.testing.assert_array_equal(waveform.samples, reference.samples)
             i_codes, q_codes = waveform.to_fixed_point()
@@ -157,52 +157,54 @@ class TestLibraryConformance:
         compiled = libraries[variant]
         pipeline = DecompressionPipeline(16)
         entries = [result.compressed for _key, result in compiled]
-        batched = decompress_batch(entries)
-        for entry, waveform in zip(entries, batched):
+        for entry, waveform in zip(entries, _fused(entries)):
             report = pipeline.stream(entry)
             i_codes, q_codes = waveform.to_fixed_point()
             np.testing.assert_array_equal(report.i_samples, i_codes.astype(np.int64))
             np.testing.assert_array_equal(report.q_samples, q_codes.astype(np.int64))
 
     def test_batch_result_input_roundtrip(self):
-        """decompress_batch(compress_batch(...)) reproduces per-pulse
+        """Fused decode of a compress_batch result reproduces per-pulse
         reconstructions across a heterogeneous library."""
         library = google_device(2, 3).pulse_library()
         pulses = [library.waveform(*key) for key in library.keys()]
         batch = compress_batch(pulses, window_size=8)
-        decoded = decompress_batch(batch)
+        decoded = _fused([result.compressed for result in batch])
         for result, waveform in zip(batch, decoded):
             np.testing.assert_array_equal(
                 waveform.samples, result.reconstructed.samples
             )
 
     def test_mixed_variants_in_one_batch(self):
-        """One decode call may mix variants and window sizes; grouping
-        must route every channel through the right inverse."""
+        """One decode_records call may mix codecs and window sizes;
+        grouping must route every channel through the right inverse."""
         wf = Waveform(
             "mix", 0.5 * np.hanning(50) * (1 + 0.3j), dt=1e-9, gate="x", qubits=(1,)
         )
         entries = [
-            compress_waveform(wf, window_size=8, variant="int-DCT-W").compressed,
-            compress_waveform(wf, window_size=32, variant="DCT-W").compressed,
-            compress_waveform(wf, variant="DCT-N").compressed,
-            compress_waveform(wf, window_size=16, variant="int-DCT-W").compressed,
-            compress_waveform(wf, window_size=16, variant="delta").compressed,
-            compress_waveform(wf, window_size=8, variant="dictionary").compressed,
+            compress_waveform(wf, window_size=8, codec="int-DCT-W").compressed,
+            compress_waveform(wf, window_size=32, codec="DCT-W").compressed,
+            compress_waveform(wf, codec="DCT-N").compressed,
+            compress_waveform(wf, window_size=16, codec="int-DCT-W").compressed,
+            compress_waveform(wf, window_size=16, codec="delta").compressed,
+            compress_waveform(wf, window_size=8, codec="dictionary").compressed,
         ]
-        decoded = decompress_batch(entries)
-        for entry, waveform in zip(entries, decoded):
+        for entry, waveform in zip(entries, _fused(entries)):
             reference = decompress_waveform(entry)
+            assert waveform.name == reference.name
             np.testing.assert_array_equal(waveform.samples, reference.samples)
 
 
 class TestValidation:
     def test_empty_inputs_rejected(self):
         with pytest.raises(CompressionError):
-            decompress_batch([])
-        with pytest.raises(CompressionError):
-            decompress_channels([])
+            decode_records([])
 
     def test_wrong_entry_type_rejected(self):
+        """One record that is not a CQW1 blob fails the whole batch."""
+        wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
+        good = serialize_waveform(compress_waveform(wf).compressed)
         with pytest.raises(CompressionError):
-            decompress_batch(["not-a-compressed-waveform"])
+            decode_records([b"not-a-compressed-waveform"])
+        with pytest.raises(CompressionError):
+            decode_records([good, b"not-a-compressed-waveform"])

@@ -112,11 +112,6 @@ class TestPackCommand:
         assert args.shards == 0
         assert args.output is None
 
-    def test_variant_is_a_deprecated_codec_alias(self):
-        with pytest.warns(DeprecationWarning, match="--variant is deprecated"):
-            args = build_parser().parse_args(["pack", "bogota", "--variant", "delta"])
-        assert args.codec == "delta"
-
     def test_codec_validated_against_registry(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pack", "bogota", "--codec", "nope"])
@@ -146,7 +141,7 @@ class TestPackCommand:
             [
                 "pack",
                 "fluxonium-3",
-                "--variant",
+                "--codec",
                 "DCT-W",
                 "--window-size",
                 "8",

@@ -36,7 +36,7 @@ def waveforms(draw):
 def configs(draw):
     return {
         "window_size": draw(st.sampled_from([8, 16, 32])),
-        "variant": draw(st.sampled_from(["DCT-W", "int-DCT-W"])),
+        "codec": draw(st.sampled_from(["DCT-W", "int-DCT-W"])),
         "threshold": draw(st.sampled_from([0, 32, 128, 512, 2048])),
         "max_coefficients": draw(st.sampled_from([0, 1, 2, 4])),
     }
@@ -92,7 +92,7 @@ class TestCodecContracts:
     def test_zero_threshold_high_fidelity(self, waveform):
         """With no thresholding, MSE stays at the transform floor."""
         result = compress_waveform(
-            waveform, window_size=16, variant="int-DCT-W", threshold=0
+            waveform, window_size=16, codec="int-DCT-W", threshold=0
         )
         assert result.mse < 1e-4
 

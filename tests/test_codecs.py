@@ -68,7 +68,7 @@ class TestRegistry:
     def test_unknown_variant_through_pipeline(self):
         wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
         with pytest.raises(CompressionError, match="registered codecs"):
-            compress_waveform(wf, variant="DCT-Z")
+            compress_waveform(wf, codec="DCT-Z")
 
     def test_resolve_passes_codec_objects_through(self):
         assert resolve_codec(INT_DCT_W) is INT_DCT_W
@@ -151,10 +151,11 @@ def negate_codec():
 class TestThirdPartyRegistration:
     def test_reaches_every_layer(self, negate_codec):
         """One register_codec call plugs a codec into the pipeline, the
-        batch engine, the wire format and the compiler."""
+        batch engine, the wire format, the fused decoder and the
+        compiler."""
         from repro.compression import (
             compress_batch,
-            decompress_batch,
+            decode_records,
             decompress_waveform,
             parse_waveform,
             serialize_waveform,
@@ -165,7 +166,7 @@ class TestThirdPartyRegistration:
         wf = Waveform(
             "w", 0.4 * np.hanning(40) * (1 - 0.5j), dt=1e-9, gate="x", qubits=(0,)
         )
-        result = compress_waveform(wf, window_size=16, variant="negate", threshold=0)
+        result = compress_waveform(wf, window_size=16, codec="negate", threshold=0)
         i_codes, _ = wf.to_fixed_point()
         np.testing.assert_array_equal(
             result.reconstructed.to_fixed_point()[0], i_codes
@@ -177,21 +178,26 @@ class TestThirdPartyRegistration:
         np.testing.assert_array_equal(
             decompress_waveform(parsed).samples, result.reconstructed.samples
         )
-        batch = compress_batch([wf, wf], window_size=16, variant="negate", threshold=0)
+        batch = compress_batch([wf, wf], window_size=16, codec="negate", threshold=0)
         assert batch[0].compressed == result.compressed
         np.testing.assert_array_equal(
-            decompress_batch(batch)[0].samples, result.reconstructed.samples
+            decode_records([blob, blob])[0].samples, result.reconstructed.samples
         )
-        compiled = CompaqtCompiler(variant=negate_codec).compile_library(
+        compiled = CompaqtCompiler(codec=negate_codec).compile_library(
             ibm_device("bogota").pulse_library()
         )
         assert compiled.variant == "negate"
 
     def test_scalar_only_codec_falls_back_row_by_row(self):
         """A batchable=False codec that implements only the scalar pair
-        still works through the batch engine, bit-identical to the
-        scalar pipeline, via the base class's default block kernels."""
-        from repro.compression import compress_batch, decompress_batch
+        still works through the batch engine and the fused decoder,
+        bit-identical to the scalar pipeline, via the base class's
+        default block kernels."""
+        from repro.compression import (
+            compress_batch,
+            decode_records,
+            serialize_waveform,
+        )
 
         class ScalarOnly(Codec):
             name = "scalar-only"
@@ -212,11 +218,12 @@ class TestThirdPartyRegistration:
                 "w", 0.4 * np.hanning(40) * (1 - 0.2j), dt=1e-9, gate="x",
                 qubits=(0,),
             )
-            scalar = compress_waveform(wf, window_size=16, variant=codec)
-            batch = compress_batch([wf, wf], window_size=16, variant=codec)
+            scalar = compress_waveform(wf, window_size=16, codec=codec)
+            batch = compress_batch([wf, wf], window_size=16, codec=codec)
             assert batch[0].compressed == scalar.compressed
+            blobs = [serialize_waveform(r.compressed) for r in batch]
             np.testing.assert_array_equal(
-                decompress_batch(batch)[1].samples,
+                decode_records(blobs)[1].samples,
                 scalar.reconstructed.samples,
             )
         finally:
@@ -226,7 +233,7 @@ class TestThirdPartyRegistration:
         codec = register_codec(_NegateCodec())
         try:
             wf = Waveform("w", 0.4 * np.hanning(40) * (1 + 1j), dt=1e-9)
-            compressed = compress_waveform(wf, variant=codec).compressed
+            compressed = compress_waveform(wf, codec=codec).compressed
         finally:
             unregister_codec("negate")
         from repro.compression import serialize_waveform
@@ -462,11 +469,11 @@ class TestUnregisteredCodecObjects:
         wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
         stray = _NegateCodec()  # never registered
         with pytest.raises(CompressionError, match="not registered"):
-            compress_waveform(wf, variant=stray)
+            compress_waveform(wf, codec=stray)
         from repro.compression import compress_batch
 
         with pytest.raises(CompressionError, match="not registered"):
-            compress_batch([wf], variant=stray)
+            compress_batch([wf], codec=stray)
 
     def test_stale_replaced_instance_rejected(self):
         first = register_codec(_NegateCodec())
@@ -474,8 +481,8 @@ class TestUnregisteredCodecObjects:
             second = register_codec(_NegateCodec(), replace=True)
             wf = Waveform("w", 0.5 * np.hanning(32) * (1 + 1j), dt=1e-9)
             with pytest.raises(CompressionError, match="not registered"):
-                compress_waveform(wf, variant=first)
-            assert compress_waveform(wf, variant=second).compressed.variant == "negate"
+                compress_waveform(wf, codec=first)
+            assert compress_waveform(wf, codec=second).compressed.variant == "negate"
         finally:
             unregister_codec("negate")
 

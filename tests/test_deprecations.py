@@ -1,129 +1,21 @@
-"""Tests for the deprecation surfaces: shim modules and ``variant=``.
+"""Tests for the stats objects' one dict surface, ``as_dict()``.
 
-Two legacy spellings survive behind warnings: the
-``repro.transforms.delta`` / ``repro.transforms.dictionary`` shim
-modules (the baselines moved into the codecs package), and the
-``variant=`` keyword everywhere ``codec=`` is the canonical name.  The
-contract: each warns :class:`DeprecationWarning` exactly once per use
-with an actionable message, behaves identically to the new spelling,
-and passing both spellings at once is a hard error.
+``CacheStats``, ``ServerStats`` and ``NetServerStats`` all serialize
+through ``as_dict()``; the key-set pins below freeze what it returns.
 """
 
-import importlib
-import sys
-import warnings
-
-import numpy as np
-import pytest
-
-from repro.errors import CompressionError
-from repro.compression.batch import compress_batch
-from repro.compression.codecs import resolve_codec_arg
-from repro.compression.pipeline import compress_waveform
-from repro.core import CompaqtCompiler, adaptive_compress, fidelity_aware_compress
 from repro.devices import ibm_device
 from repro.store.cache import CacheStats
 from repro.store.server import ServerStats
 
 
-@pytest.fixture(scope="module")
-def waveform():
-    return ibm_device("bogota").pulse_library().waveform("sx", (0,))
-
-
-def _reimport(module_name):
-    """Re-trigger a shim's module-level warning on an already-imported module."""
-    sys.modules.pop(module_name, None)
-    return importlib.import_module(module_name)
-
-
-class TestTransformsShims:
-    @pytest.mark.parametrize(
-        "module_name, moved_to",
-        [
-            ("repro.transforms.delta", "repro.compression.codecs.delta"),
-            ("repro.transforms.dictionary", "repro.compression.codecs.dictionary"),
-        ],
-    )
-    def test_import_warns_and_reexports(self, module_name, moved_to):
-        with pytest.warns(DeprecationWarning, match=f"{module_name} is deprecated"):
-            shim = _reimport(module_name)
-        canonical = importlib.import_module(moved_to)
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(canonical, name), name
-
-    def test_shim_message_names_the_new_home(self):
-        with pytest.warns(DeprecationWarning, match="repro.compression.codecs.delta"):
-            _reimport("repro.transforms.delta")
-
-
-class TestVariantKeywordAlias:
-    """``variant=`` works everywhere ``codec=`` does -- behind one warning."""
-
-    def test_resolve_codec_arg_contract(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # codec= path must stay silent
-            assert resolve_codec_arg("delta", None) == "delta"
-            assert resolve_codec_arg(None, None, default="int-DCT-W") == "int-DCT-W"
-        with pytest.warns(DeprecationWarning, match="variant= argument is deprecated"):
-            assert resolve_codec_arg(None, "delta") == "delta"
-        with pytest.raises(CompressionError, match="not both"):
-            resolve_codec_arg("delta", "delta")
-
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda wf, **kw: compress_waveform(wf, window_size=16, **kw),
-            lambda wf, **kw: compress_batch([wf], window_size=16, **kw),
-            lambda wf, **kw: CompaqtCompiler(window_size=16, **kw),
-            lambda wf, **kw: adaptive_compress(wf, window_size=16, **kw),
-            lambda wf, **kw: fidelity_aware_compress(wf, window_size=16, **kw),
-        ],
-        ids=[
-            "compress_waveform",
-            "compress_batch",
-            "CompaqtCompiler",
-            "adaptive_compress",
-            "fidelity_aware_compress",
-        ],
-    )
-    def test_entry_points_warn_on_variant_only(self, waveform, call):
-        with pytest.warns(DeprecationWarning, match="variant= argument is deprecated"):
-            call(waveform, variant="int-DCT-W")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            call(waveform, codec="int-DCT-W")
-
-    def test_both_spellings_at_once_is_an_error(self, waveform):
-        with pytest.raises(CompressionError, match="not both"):
-            compress_waveform(waveform, codec="delta", variant="delta")
-        with pytest.raises(CompressionError, match="not both"):
-            CompaqtCompiler(codec="delta", variant="delta")
-
-    def test_variant_and_codec_produce_identical_results(self, waveform):
-        via_codec = compress_waveform(waveform, window_size=16, codec="delta")
-        with pytest.warns(DeprecationWarning):
-            via_variant = compress_waveform(waveform, window_size=16, variant="delta")
-        assert np.array_equal(
-            via_codec.reconstructed.samples, via_variant.reconstructed.samples
-        )
-        assert via_codec.mse == via_variant.mse
-
-    def test_compiler_records_resolved_codec_name(self):
-        with pytest.warns(DeprecationWarning):
-            compiler = CompaqtCompiler(variant="delta")
-        assert compiler.codec.name == "delta"
-        assert compiler.variant == "delta"  # legacy attribute still present
-
-
 class TestStatsDictSurface:
-    """`as_dict()` is the common stats surface; `to_dict` stays as an alias."""
+    """`as_dict()` is the one stats surface, nested the same way everywhere."""
 
     def test_cache_stats_aliases(self):
         stats = CacheStats(
             capacity=4, size=2, hits=10, misses=5, insertions=5, evictions=3
         )
-        assert stats.as_dict() == stats.to_dict()
         assert stats.as_dict()["hit_rate"] == stats.hit_rate
 
     def test_server_stats_aliases(self):
@@ -133,7 +25,6 @@ class TestStatsDictSurface:
         stats = ServerStats(
             requests=7, batches=2, shard_fills=3, coalesced_fills=1, cache=cache
         )
-        assert stats.as_dict() == stats.to_dict()
         assert stats.as_dict()["cache"] == cache.as_dict()
 
     def test_net_server_stats_has_as_dict(self):

@@ -79,6 +79,20 @@ def decode_payload():
 ALL_CODECS = {"DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary"}
 
 
+def _assert_only_timed_gate_may_fail(code, summary):
+    """Every bit-identity verdict holds; the exit code follows the timed one.
+
+    On fluxonium-3 at --repeats 1 the minimum windowed fused speedup sits
+    inside the run-to-run noise around the 10x gate, so a red timed
+    verdict (exit 1) is allowed there and nothing else is.
+    """
+    timed = "fused_speedup_gate_ok"
+    verdicts = {k: v for k, v in summary.items() if k.endswith("_ok")}
+    assert timed in verdicts
+    assert all(v for k, v in verdicts.items() if k != timed), verdicts
+    assert code == (0 if summary[timed] else 1)
+
+
 class TestCompressionBench:
     def test_schema_and_coverage(self, payload):
         assert payload["schema"] == BENCH_SCHEMA
@@ -94,22 +108,31 @@ class TestCompressionBench:
         for name, section in codecs.items():
             assert section["n_entries"] == 2
             assert section["encode"]["parity_ok"]
-            assert section["decode"]["parity_ok"]
+            assert section["decode"]["fused_parity_ok"]
             assert section["bitstream"]["roundtrip_ok"]
             assert section["encode"]["min_speedup"] > 0
-            assert section["decode"]["min_speedup"] > 0
+            assert section["decode"]["min_fused_speedup"] > 0
             assert section["mean_compression_ratio_variable"] > 0
             assert section["mean_mse"] >= 0
 
     def test_entries_have_all_sections(self, payload):
         for entry in payload["entries"]:
-            for section in ("encode", "decode"):
-                for side in ("scalar", "batched"):
+            for section, sides in (
+                ("encode", ("scalar", "batched")),
+                ("decode", ("scalar_cold", "fused")),
+            ):
+                for side in sides:
                     timing = entry[section][side]
                     assert timing["best_s"] > 0
                     assert timing["samples_per_s"] > 0
                     assert timing["pulses_per_s"] > 0
-                assert entry[section]["speedup"] > 0
+            assert entry["encode"]["speedup"] > 0
+            assert set(entry["decode"]) == {
+                "scalar_cold",
+                "fused",
+                "fused_speedup",
+                "fused_parity",
+            }
             bitstream = entry["bitstream"]
             assert bitstream["serialize"]["best_s"] > 0
             assert bitstream["parse"]["best_s"] > 0
@@ -121,15 +144,15 @@ class TestCompressionBench:
     def test_parity_gates_hold(self, payload):
         summary = payload["summary"]
         assert summary["all_parity_ok"]
-        assert summary["all_decode_parity_ok"]
+        assert summary["all_fused_parity_ok"]
         assert summary["all_roundtrip_ok"]
         for e in payload["entries"]:
             assert e["encode"]["parity"]
-            assert e["decode"]["parity"]
+            assert e["decode"]["fused_parity"]
             assert e["bitstream"]["roundtrip_ok"]
 
     def test_fastpath_sections_and_parity(self, payload):
-        """Schema v4: fused cold-miss + vectorized-parse measurements."""
+        """Fused cold-miss + vectorized-parse measurements (since v4)."""
         for e in payload["entries"]:
             decode, bitstream = e["decode"], e["bitstream"]
             assert decode["scalar_cold"]["best_s"] > 0
@@ -158,12 +181,12 @@ class TestCompressionBench:
         assert decode_payload["config"]["mode"] == "decode"
         for entry in decode_payload["entries"]:
             assert entry["encode"] is None
-            assert entry["decode"]["parity"]
+            assert entry["decode"]["fused_parity"]
             assert entry["bitstream"]["roundtrip_ok"]
         summary = decode_payload["summary"]
         assert summary["min_speedup"] is None
         assert summary["all_parity_ok"]  # vacuous: no encode sections
-        assert summary["min_decode_speedup"] > 0
+        assert summary["min_fused_speedup"] > 0
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DeviceError):
@@ -212,11 +235,13 @@ class TestCliBench:
                 str(out),
             ]
         )
-        assert code == 0
         payload = json.loads(out.read_text())
+        summary = payload["summary"]
+        _assert_only_timed_gate_may_fail(code, summary)
         assert payload["config"]["mode"] == "decode"
-        assert payload["summary"]["all_decode_parity_ok"]
-        assert payload["summary"]["all_roundtrip_ok"]
+        assert summary["all_fused_parity_ok"]
+        assert summary["all_parse_parity_ok"]
+        assert summary["all_roundtrip_ok"]
         assert all(e["encode"] is None for e in payload["entries"])
 
     def test_bench_command_writes_json(self, tmp_path, capsys):
@@ -249,7 +274,7 @@ class TestCliBench:
                 "bench",
                 "--devices",
                 "fluxonium-3",
-                "--variants",
+                "--codecs",
                 "delta",
                 "--repeats",
                 "1",
@@ -259,13 +284,13 @@ class TestCliBench:
                 str(out),
             ]
         )
-        assert code == 0
         payload = json.loads(out.read_text())
+        _assert_only_timed_gate_may_fail(code, payload["summary"])
         assert {e["variant"] for e in payload["entries"]} == {"delta"}
         assert payload["codecs"]["delta"]["encode"]["parity_ok"]
 
     def test_bench_unknown_variant_rejected(self, capsys):
-        assert main(["bench", "--variants", "DCT-Z"]) == 2
+        assert main(["bench", "--codecs", "DCT-Z"]) == 2
         assert "registered" in capsys.readouterr().out
 
 
@@ -368,9 +393,9 @@ class TestCliServingBench:
         assert "different bench profiles" in capsys.readouterr().out
 
     def test_serving_variants_must_name_one_registered_codec(self, capsys):
-        assert main(["bench", "--serving", "--variants", "delta,DCT-W"]) == 2
+        assert main(["bench", "--serving", "--codecs", "delta,DCT-W"]) == 2
         assert "one codec" in capsys.readouterr().out
-        assert main(["bench", "--serving", "--variants", "nope"]) == 2
+        assert main(["bench", "--serving", "--codecs", "nope"]) == 2
         assert "registered" in capsys.readouterr().out
 
     def test_serving_variant_wired_through(self, tmp_path, capsys):
@@ -382,7 +407,7 @@ class TestCliServingBench:
                 "--quick",
                 "--devices",
                 "bogota",
-                "--variants",
+                "--codecs",
                 "delta",
                 "--repeats",
                 "1",

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import CompressionError
 from repro.pulses import drag, lifted_gaussian, quantize
-from repro.transforms import delta_compress, delta_decompress
+from repro.compression.codecs.delta import delta_compress, delta_decompress
 
 
 def sample_arrays():
@@ -74,49 +74,3 @@ class TestValidation:
         encoded = delta_compress(np.array([0, 1, 2, 3]))
         assert encoded.encoded_bits == 16 + 3 * encoded.delta_bits
         assert encoded.original_bits == 64
-
-
-class TestRetiredIsland:
-    """The transforms/delta.py island is a deprecation shim (PR 4)."""
-
-    def test_shim_module_warns_and_forwards(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.transforms.delta", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.import_module("repro.transforms.delta")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        from repro.compression.codecs.delta import delta_compress as canonical
-
-        assert shim.delta_compress is canonical
-        assert shim.delta_compress is delta_compress
-
-    def test_lazy_package_forwarding_is_single_sourced(self):
-        import repro.transforms as transforms
-        from repro.compression.codecs import delta as home
-
-        assert transforms.delta_compress is home.delta_compress
-        assert transforms.DeltaEncoded is home.DeltaEncoded
-        with pytest.raises(AttributeError):
-            transforms.not_a_baseline
-
-    def test_submodule_attribute_access_still_works(self):
-        # Pre-PR 4, `import repro.transforms` bound the .delta submodule
-        # as an import side effect; attribute access must keep working.
-        import sys
-        import warnings
-
-        import repro.transforms as transforms
-
-        # Force the lazy path: drop both the module cache entry and the
-        # attribute the import system binds on the parent package.
-        sys.modules.pop("repro.transforms.delta", None)
-        transforms.__dict__.pop("delta", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert transforms.delta.delta_compress is delta_compress

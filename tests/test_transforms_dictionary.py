@@ -8,7 +8,10 @@ from hypothesis.extra import numpy as hnp
 
 from repro.errors import CompressionError
 from repro.pulses import drag, quantize
-from repro.transforms import dictionary_compress, dictionary_decompress
+from repro.compression.codecs.dictionary import (
+    dictionary_compress,
+    dictionary_decompress,
+)
 
 
 def sample_arrays():
@@ -58,33 +61,3 @@ class TestValidation:
         samples = np.full(10, 5)
         encoded = dictionary_compress(samples, dict_size=4)
         assert encoded.encoded_bits >= len(encoded.dictionary) * 16
-
-
-class TestRetiredIsland:
-    """The transforms/dictionary.py island is a deprecation shim (PR 4)."""
-
-    def test_shim_module_warns_and_forwards(self):
-        import importlib
-        import sys
-        import warnings
-
-        sys.modules.pop("repro.transforms.dictionary", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shim = importlib.import_module("repro.transforms.dictionary")
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        from repro.compression.codecs.dictionary import (
-            dictionary_compress as canonical,
-        )
-
-        assert shim.dictionary_compress is canonical
-        assert shim.dictionary_compress is dictionary_compress
-
-    def test_lazy_package_forwarding_is_single_sourced(self):
-        import repro.transforms as transforms
-        from repro.compression.codecs import dictionary as home
-
-        assert transforms.dictionary_compress is home.dictionary_compress
-        assert transforms.DictionaryEncoded is home.DictionaryEncoded

@@ -13,9 +13,7 @@ from repro.transforms import (
     EncodedWindow,
     MemoryWord,
     rle_decode_window,
-    rle_encode_blocks,
     rle_encode_window,
-    rle_expand_blocks,
 )
 
 
@@ -57,43 +55,6 @@ class TestRoundTrip:
     def test_empty_window_rejected(self):
         with pytest.raises(CompressionError):
             rle_encode_window(np.array([]))
-
-
-class TestExpandBlocks:
-    @given(
-        hnp.arrays(
-            np.int64,
-            st.tuples(st.integers(1, 12), st.just(16)),
-            elements=st.integers(-500, 500),
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_scalar_decode(self, blocks):
-        encoded = rle_encode_blocks(blocks)
-        expanded = rle_expand_blocks(encoded, 16)
-        assert expanded.shape == blocks.shape
-        np.testing.assert_array_equal(expanded, blocks)
-        for window, row in zip(encoded, expanded):
-            np.testing.assert_array_equal(rle_decode_window(window), row)
-
-    def test_all_zero_and_full_windows(self):
-        windows = (
-            EncodedWindow(coeffs=(), zero_run=8),
-            EncodedWindow(coeffs=(1, 2, 3, 4, 5, 6, 7, 8), zero_run=0),
-            EncodedWindow(coeffs=(9,), zero_run=7),
-        )
-        expanded = rle_expand_blocks(windows, 8)
-        np.testing.assert_array_equal(expanded[0], np.zeros(8))
-        np.testing.assert_array_equal(expanded[1], np.arange(1, 9))
-        np.testing.assert_array_equal(expanded[2], [9, 0, 0, 0, 0, 0, 0, 0])
-
-    def test_validation(self):
-        with pytest.raises(CompressionError):
-            rle_expand_blocks([], 8)
-        with pytest.raises(CompressionError):
-            rle_expand_blocks([EncodedWindow(coeffs=(1,), zero_run=3)], 8)
-        with pytest.raises(CompressionError):
-            rle_expand_blocks([EncodedWindow(coeffs=(1,), zero_run=7)], 0)
 
 
 class TestEncodedWindowInvariants:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, StoreError
+from repro.compression import decompress_waveform
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
 from repro.store import (
@@ -183,6 +184,12 @@ class TestCommit:
             fresh = writer.commit()
             library = fresh.load_library()
             assert len(library) == len(keys) - 1
+            for key, result in library:
+                want = decompress_waveform(fresh.read_record(*key))
+                assert result.reconstructed.name == want.name
+                np.testing.assert_array_equal(
+                    result.reconstructed.samples, want.samples
+                )
 
 
 class TestCompact:
