@@ -1,5 +1,6 @@
-"""Serving quickstart: pack a device library into a CQS1 sharded store
-and serve decoded pulses through the concurrent LRU front end.
+"""Serving quickstart: pack a device library into a sharded store
+(generation 1) and serve decoded pulses through the concurrent LRU
+front end.
 
 Run:  python examples/serving_quickstart.py
 """
@@ -27,13 +28,14 @@ def main() -> None:
     )
 
     with tempfile.TemporaryDirectory() as tmp:
-        # Pack as a sharded store: a manifest plus hash-routed CQL1
-        # shard files with a byte-offset index per pulse.  On the
-        # command line: `repro pack guadalupe --shards 4`.
+        # Pack as a sharded store: generation 1's manifest plus
+        # hash-routed CQL1 shard files with a byte-offset index per
+        # pulse.  On the command line: `repro pack guadalupe --shards 4`.
         store = save_store(compiled, Path(tmp) / "guadalupe.cqs", n_shards=4)
         print(
-            f"packed -> {store.n_shards} shards, "
-            f"{store.total_shard_bytes / 1e3:.1f} KB compressed on disk"
+            f"packed -> generation {store.generation}, {store.n_shards} "
+            f"shards, {store.total_shard_bytes / 1e3:.1f} KB compressed "
+            "on disk"
         )
 
         # Serve a skewed request trace (what gate issue looks like:

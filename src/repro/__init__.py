@@ -11,8 +11,8 @@ The package is organized bottom-up:
   int-DCT-W) and memory packing.
 - :mod:`repro.core` -- the COMPAQT compiler module, adaptive compression,
   fidelity-aware thresholding, controller and scalability models.
-- :mod:`repro.store` -- the CQS1 sharded pulse store, decoded LRU
-  cache, and concurrent serving front end.
+- :mod:`repro.store` -- the sharded pulse store and its writer, decoded
+  LRU cache, and concurrent serving front end.
 - :mod:`repro.microarch` -- cycle-level decompression pipeline, banked
   memory, resource / timing / power models.
 - :mod:`repro.quantum` -- statevector and pulse-level simulation,

@@ -156,7 +156,8 @@ def compile_library(
 
     Returns:
         The compiled :class:`CompressedPulseLibrary`; pair with
-        :func:`save_store` to persist it as a ``CQS1`` store.
+        :func:`save_store` to persist it as a store directory at
+        generation 1.
     """
     if isinstance(source, str):
         library = resolve_device(source).pulse_library()

@@ -653,7 +653,7 @@ def run_chaos(
         write_plan = FaultPlan(seed=seed, period=3, kinds=WRITE_FAULT_KINDS)
     started = time.perf_counter()
 
-    with tempfile.TemporaryDirectory(prefix="cqs1-chaos-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="cqs-chaos-") as tmp:
         root = store_dir if store_dir is not None else pathlib.Path(tmp)
         device = resolve_device(device_spec)
         compiled = CompaqtCompiler().compile_library(device.pulse_library())

@@ -166,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="write a CQS1 sharded store directory with this many shard "
-        "files instead of a single CQL1 container (0 = single file)",
+        help="write a sharded store directory (generation 1) with this "
+        "many shard files instead of a single CQL1 container "
+        "(0 = single file)",
     )
     pack.add_argument(
         "--output",
@@ -177,10 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="serve decoded pulses from a CQS1 store through the LRU cache",
+        help="serve decoded pulses from a store directory through the LRU "
+        "cache",
     )
     serve.add_argument(
-        "store", help="CQS1 store directory (see `repro pack --shards`)"
+        "store", help="store directory (see `repro pack --shards`)"
     )
     serve.add_argument(
         "--requests",
@@ -212,16 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--prewarm",
         action="store_true",
-        help="fill the cache through the fused whole-shard decoder "
-        "before replaying the trace",
+        help="fill the cache one shard at a time through the fused "
+        "decoder before replaying the trace",
     )
 
     serve_net = subparsers.add_parser(
         "serve-net",
-        help="serve a CQS1 store over TCP with the CQN1 binary protocol",
+        help="serve a store directory over TCP with the CQN1 binary protocol",
     )
     serve_net.add_argument(
-        "store", help="CQS1 store directory (see `repro pack --shards`)"
+        "store", help="store directory (see `repro pack --shards`)"
     )
     serve_net.add_argument("--host", default="127.0.0.1")
     serve_net.add_argument(
@@ -391,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store = subparsers.add_parser(
         "store",
-        help="inspect and scrub CQS1/CQS2 store directories",
+        help="inspect and scrub store directories",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
     store_verify = store_sub.add_parser(
@@ -738,6 +740,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_pack(args: argparse.Namespace) -> int:
     from repro.perf import resolve_device
+    from repro.store import generation_manifest_name
 
     if args.shards < 0:
         print(f"error: --shards must be >= 0, got {args.shards}")
@@ -778,11 +781,13 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         ]
         print(
             render_table(
-                f"{device.name}: CQS1 store, {args.codec} "
-                f"WS={args.window_size}, {args.shards} shards",
+                f"{device.name}: store generation {store.generation}, "
+                f"{args.codec} WS={args.window_size}, {args.shards} shards",
                 ["shard", "file", "waveforms", "bytes"],
                 rows,
-                note=f"manifest: {path}/manifest.json (round-trip verified)",
+                note=f"manifest: {path}/"
+                f"{generation_manifest_name(store.generation)} "
+                "(round-trip verified)",
             )
         )
     else:

@@ -798,7 +798,8 @@ def decode_library_bytes(
 
     Returns ``(gate, qubits, waveform)`` per entry, in container order,
     each waveform bit-identical to the scalar decode of that entry --
-    the engine behind :meth:`repro.store.sharded.ShardedStore.decode_shard`.
+    the engine behind
+    :meth:`repro.core.compiler.CompressedPulseLibrary.from_bytes`.
     """
     cursor = _Cursor(data)
     batch = _ScanBatch(_as_u8(data))

@@ -331,13 +331,14 @@ class CompaqtCompiler:
         path: Union[str, pathlib.Path],
         n_shards: int = 4,
     ):
-        """Persist a compiled library as a CQS1 sharded store directory.
+        """Persist a compiled library as a sharded store directory.
 
         The sharded layout (see :mod:`repro.store`) is the serving-side
         twin of :meth:`save_library`: same compressed records, but split
         into hash-routed shard files with a byte-offset index so single
-        pulses are demand-readable.  Returns the opened
-        :class:`~repro.store.ShardedStore`.
+        pulses are demand-readable.  The store is published as
+        generation 1, ready for :class:`~repro.store.StoreWriter`
+        commits.  Returns the opened :class:`~repro.store.ShardedStore`.
         """
         from repro.store import save_store
 
@@ -345,7 +346,7 @@ class CompaqtCompiler:
 
     @staticmethod
     def load_store(path: Union[str, pathlib.Path]):
-        """Open a CQS1 store directory written by :meth:`save_store`."""
+        """Open a store directory written by :meth:`save_store`."""
         from repro.store import open_store
 
         return open_store(path)

@@ -28,7 +28,7 @@ class DeviceError(ReproError):
 class StoreError(ReproError):
     """A sharded pulse store could not be written, opened, or served.
 
-    Raised for corrupt or missing CQS1 manifests, shard files that do
+    Raised for corrupt or missing store manifests, shard files that do
     not match their manifest, and lookups of pulses the store does not
     hold.
     """

@@ -8,8 +8,9 @@ how it moves with the two knobs the store exposes:
 * **cache size** (decoded hot set, as a fraction of the library), and
 * **shard count** (fetch granularity / fill parallelism).
 
-For every device it compiles the library once, writes a CQS1 store per
-shard count, and replays the same Zipf-skewed request trace three ways:
+For every device it compiles the library once, writes a store
+(generation 1) per shard count, and replays the same Zipf-skewed
+request trace three ways:
 
 * **naive** -- the pre-subsystem baseline: one offset-indexed record
   read plus one scalar ``decompress_waveform`` per request, no cache;

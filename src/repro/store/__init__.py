@@ -3,10 +3,14 @@
 The read-path hierarchy between the codec/bitstream layers and a
 production controller:
 
-- :mod:`repro.store.sharded` -- the ``CQS1`` on-disk layout: a JSON
-  manifest plus N ``CQL1`` shard files, hash-sharded by channel, with a
-  byte-offset index so one pulse record is a single zero-copy span view
-  out of a bounded mmap pool.
+- :mod:`repro.store.sharded` -- the on-disk layout and its reader: one
+  ``CQS2`` JSON manifest per committed generation plus ``CQL1`` shard
+  files, hash-sharded by channel, with a byte-offset index so one pulse
+  record is a single zero-copy span view out of a bounded mmap pool.
+  A legacy ``CQS1`` ``manifest.json`` still opens, as generation 0.
+- :mod:`repro.store.writable` -- :func:`save_store`, which publishes a
+  compiled library as generation 1, and :class:`StoreWriter`, which
+  commits and compacts the generations after it.
 - :mod:`repro.store.cache` -- :class:`PulseCache`, a bounded LRU of
   *decoded* waveforms with exact hit/miss/eviction counters and a
   batch-aware ``get_many`` that decodes misses through the fused
@@ -42,7 +46,6 @@ from repro.store.sharded import (
     StoreRecord,
     generation_manifest_name,
     open_store,
-    save_store,
     shard_index,
 )
 from repro.store.cache import CacheStats, PulseCache
@@ -52,6 +55,7 @@ from repro.store.writable import (
     COMMIT_HOOK_POINTS,
     COMPACT_HOOK_POINTS,
     StoreWriter,
+    save_store,
 )
 from repro.store.trace import (
     arrival_times,

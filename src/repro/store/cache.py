@@ -229,56 +229,39 @@ class PulseCache:
         return out
 
     def prewarm(self, shards: Optional[Sequence[int]] = None) -> int:
-        """Fill the cache from whole shards through the fused decoder.
+        """Fill the cache from the live index, one shard file at a time.
 
-        Decodes the named shards (default: all of them) with
-        :meth:`~repro.store.sharded.ShardedStore.decode_shard` and
-        inserts the results until the cache is full -- once capacity is
-        reached, remaining pulses and shards are skipped rather than
-        decoded and churned straight back out.  Counters stay untouched
-        (prewarming is not traffic).  Returns the number of pulses
-        *newly* inserted: re-warming keys that are already resident
-        counts zero, so a second ``prewarm`` over an unchanged cache
-        reports 0 rather than the whole library again.
+        Walks the named shard files (default: all of them) and decodes
+        each one's not-yet-cached live keys with one :meth:`load_many`
+        call -- one fused ``decode_many`` batch per shard, so the decode
+        working set is one shard's pulses, never the whole library.
+        Once capacity is reached, remaining pulses and shards are
+        skipped rather than decoded and churned straight back out.
+        Counters stay untouched (prewarming is not traffic).  Returns
+        the number of pulses *newly* inserted: re-warming keys that are
+        already resident counts zero, so a second ``prewarm`` over an
+        unchanged cache reports 0 rather than the whole library again.
         """
-        if shards is None:
-            shards = range(self.store.shard_count)
-        if getattr(self.store, "generation", 0) > 0:
-            # A CQS2 generation's shard files still hold superseded and
-            # tombstoned record bytes; warming must go through the live
-            # index, not raw container order.
-            wanted = set(shards)
-            to_load: List[_Key] = []
+        store = self.store
+        count = store.shard_count
+        by_shard: Dict[int, List[_Key]] = {}
+        for shard in range(count) if shards is None else shards:
+            if not 0 <= shard < count:
+                raise StoreError(f"shard {shard} out of range [0, {count})")
+            by_shard[shard] = []
+        for key in store.keys():
+            members = by_shard.get(store.record_info(*key).shard)
+            if members is not None:
+                members.append(key)
+        inserted = 0
+        for members in by_shard.values():
             with self._lock:
                 room = self.capacity - len(self._lru)
-                for key in self.store.keys():
-                    if room <= 0:
-                        break
-                    if key in self._lru:
-                        continue
-                    if self.store.record_info(*key).shard not in wanted:
-                        continue
-                    to_load.append(key)
-                    room -= 1
-            if not to_load:
-                return 0
-            decoded = self.store.decode_many(to_load)
-            with self._lock:
-                for key, waveform in zip(to_load, decoded):
-                    self._insert(key, waveform)
-            return len(to_load)
-        inserted = 0
-        for shard in shards:
-            with self._lock:
-                if len(self._lru) >= self.capacity:
-                    break
-            for key, waveform in self.store.decode_shard(shard):
-                with self._lock:
-                    if len(self._lru) >= self.capacity and key not in self._lru:
-                        break
-                    if key not in self._lru:
-                        inserted += 1
-                    self._insert(key, waveform)
+                todo = [key for key in members if key not in self._lru]
+            if room <= 0:
+                break
+            if todo:
+                inserted += len(self.load_many(todo[:room]))
         return inserted
 
     def _insert(

@@ -1,4 +1,4 @@
-"""The CQS1 sharded pulse store: on-disk layout, writer, and reader.
+"""The sharded pulse store: on-disk layout and reader.
 
 A compiled :class:`~repro.core.compiler.CompressedPulseLibrary` so far
 persisted as one monolithic ``CQL1`` container that every consumer had
@@ -8,29 +8,35 @@ gate-issue time, not at load time): keep the *compressed* image on
 disk, fetch single pulse records on demand, and decode only what is
 actually played.
 
-A **CQS1 store** is a directory::
+A **store** is a directory of committed generations::
 
     mystore.cqs/
-      manifest.json     the CQS1 manifest (see below)
-      shard-0000.cql    a plain CQL1 library container
-      shard-0001.cql
+      manifest-0000000001.json    generation 1 (magic ``CQS2``)
+      shard-g0000000001-0000.cql  a plain CQL1 library container
+      shard-g0000000001-0001.cql
       ...
 
-Each shard file is a complete, standalone ``CQL1`` container (parseable
-by :func:`repro.compression.bitstream.parse_library`), holding the
-entries whose channel key hashes to that shard:
+:func:`repro.store.save_store` publishes generation 1; every
+:class:`repro.store.StoreWriter` commit or compaction publishes the
+next one (see :mod:`repro.store.writable`).  Each shard file is a
+complete, standalone ``CQL1`` container (parseable by
+:func:`repro.compression.bitstream.parse_library`).  Generation 1 holds
+the entries whose channel key hashes to each shard:
 ``shard = crc32("gate|q0,q1") % n_shards``.  The hash is stable across
 processes and platforms, so any client can route a request to its shard
 without the manifest.
 
-The manifest is JSON with a ``"magic": "CQS1"`` tag carrying the
-library metadata (device, codec, window size), the shard file table,
-and a **byte-offset index**: for every pulse, the shard it lives in and
-the ``(offset, length)`` span of its embedded ``CQW1`` waveform record
-(:class:`~repro.compression.bitstream.RecordSpan`).  Reading one pulse
-is therefore a single seek-and-read plus
+The manifest is JSON with a ``"magic": "CQS2"`` tag carrying the
+generation, the library metadata (device, codec, window size), the
+shard file table, tombstones for deleted keys, and a **byte-offset
+index**: for every live pulse, its record version, the shard it lives
+in and the ``(offset, length)`` span of its embedded ``CQW1`` waveform
+record (:class:`~repro.compression.bitstream.RecordSpan`).  Reading one
+pulse is therefore a single seek-and-read plus
 :func:`~repro.compression.bitstream.parse_waveform` -- no shard parse,
-no decode of neighbours.
+no decode of neighbours.  A legacy ``CQS1`` ``manifest.json`` (the
+same index without versions or tombstones) still opens, as generation
+0; nothing writes one any more.
 
 Everything that can be validated cheaply at open time is (magic,
 version, shard files present with the recorded sizes, spans in range);
@@ -68,15 +74,12 @@ from repro.errors import CompressionError, StoreError
 from repro.obs import DEFAULT_SIZE_BOUNDS, default_registry
 from repro.compression.bitstream import (
     LibraryBitstream,
-    LibraryEntry,
     parse_library,
     parse_waveform,
-    serialize_library_indexed,
 )
-from repro.compression.fastpath import decode_library_bytes, decode_records
+from repro.compression.fastpath import decode_records
 from repro.compression.pipeline import CompressedWaveform
 from repro.pulses.waveform import Waveform
-from repro.store.atomic import atomic_write
 
 __all__ = [
     "STORE_MAGIC",
@@ -90,19 +93,20 @@ __all__ = [
     "normalize_key",
     "ShardedStore",
     "shard_index",
-    "save_store",
     "open_store",
 ]
 
+#: The legacy read-only format: one ``manifest.json``, opened as
+#: generation 0 (unversioned entries, no tombstones).
 STORE_MAGIC = "CQS1"
 STORE_FORMAT_VERSION = 1
-#: The writable, versioned store layer (see :mod:`repro.store.writable`):
-#: a ``CQS2`` manifest adds a generation counter, per-record versions,
-#: and tombstones on top of the ``CQS1`` layout.  Shard files are
-#: unchanged ``CQL1`` containers either way.
+MANIFEST_NAME = "manifest.json"
+#: The format every store is written in: one manifest per committed
+#: generation, with per-record versions and tombstones (see
+#: :mod:`repro.store.writable`).  Shard files are plain ``CQL1``
+#: containers either way.
 STORE_MAGIC_V2 = "CQS2"
 STORE_FORMAT_VERSION_V2 = 2
-MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest-(\d{10})\.json$")
 
@@ -115,14 +119,20 @@ def generation_manifest_name(generation: int) -> str:
 
 
 def list_generation_manifests(root: pathlib.Path) -> List[Tuple[int, pathlib.Path]]:
-    """All CQS2 generation manifests under ``root``, newest first."""
+    """Every manifest under ``root``, newest generation first.
+
+    A legacy ``manifest.json``, if present, comes last as generation 0.
+    """
     found = []
     for path in root.glob("manifest-*.json"):
         match = _GEN_MANIFEST_RE.match(path.name)
         if match:
             found.append((int(match.group(1)), path))
     found.sort(key=lambda pair: pair[0], reverse=True)
+    if (root / MANIFEST_NAME).is_file():
+        found.append((0, root / MANIFEST_NAME))
     return found
+
 
 _Key = Tuple[str, Tuple[int, ...]]
 
@@ -151,9 +161,9 @@ def shard_index(gate: str, qubits: Sequence[int], n_shards: int) -> int:
 class StoreRecord:
     """One manifest index row: where a pulse lives and its metadata.
 
-    ``version`` is the record's logical version under the CQS2
-    writable layer: 1 for every record of a freshly saved (CQS1)
-    store, bumped on each re-put by :class:`repro.store.writable.StoreWriter`.
+    ``version`` is the record's logical version: 1 for every record of
+    a freshly saved (or legacy CQS1) store, bumped on each re-put by
+    :class:`repro.store.writable.StoreWriter`.
     Caches invalidate on ``(key, version)`` change at generation
     adoption.
     """
@@ -166,114 +176,6 @@ class StoreRecord:
     mse: float
     threshold: float
     version: int = 1
-
-
-def _shard_file_name(shard: int) -> str:
-    return f"shard-{shard:04d}.cql"
-
-
-def save_store(
-    compiled,
-    path: Union[str, pathlib.Path],
-    n_shards: int = 4,
-) -> "ShardedStore":
-    """Write a compiled library as a CQS1 sharded store directory.
-
-    Args:
-        compiled: A :class:`~repro.core.compiler.CompressedPulseLibrary`.
-        path: Store directory to create (conventionally ``*.cqs``).
-            Created if missing; an existing manifest is overwritten.
-        n_shards: Shard file count.  More shards mean smaller fetch
-            units and more single-flight parallelism; empty shards are
-            legal (they serialize as zero-entry containers).
-
-    Returns:
-        The opened :class:`ShardedStore` (reads go through the same
-        code path every other client uses, so a just-written store is
-        verified openable).
-    """
-    if n_shards < 1:
-        raise StoreError(f"n_shards must be >= 1, got {n_shards}")
-    if len(compiled) == 0:
-        raise StoreError("cannot store an empty compressed library")
-    out = pathlib.Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-
-    by_shard: Dict[int, List[Tuple[_Key, object]]] = {
-        shard: [] for shard in range(n_shards)
-    }
-    for (gate, qubits), result in compiled:
-        key = normalize_key(gate, qubits)
-        by_shard[shard_index(*key, n_shards)].append((key, result))
-
-    shard_table: List[Dict] = []
-    index: List[Dict] = []
-    for shard in range(n_shards):
-        entries = tuple(
-            LibraryEntry(
-                gate=key[0],
-                qubits=key[1],
-                mse=result.mse,
-                threshold=result.threshold,
-                compressed=result.compressed,
-            )
-            for key, result in by_shard[shard]
-        )
-        blob, spans = serialize_library_indexed(
-            LibraryBitstream(
-                device_name=compiled.device_name,
-                window_size=compiled.window_size,
-                variant=compiled.variant,
-                entries=entries,
-            )
-        )
-        file_name = _shard_file_name(shard)
-        atomic_write(out / file_name, blob)
-        shard_table.append(
-            {"file": file_name, "n_entries": len(entries), "n_bytes": len(blob)}
-        )
-        for (key, result), span in zip(by_shard[shard], spans):
-            index.append(
-                {
-                    "gate": key[0],
-                    "qubits": list(key[1]),
-                    "shard": shard,
-                    "offset": span.offset,
-                    "length": span.length,
-                    "mse": result.mse,
-                    "threshold": result.threshold,
-                }
-            )
-
-    # Overwriting an existing store must not leave stale state behind
-    # that would outrank or corrupt the fresh save: extra base shard
-    # files from a wider layout, staged CQS2 shard files, *newer*
-    # generation manifests (which open() would prefer over this save),
-    # and orphaned publish temp files all go.
-    live = {row["file"] for row in shard_table}
-    for stale in out.glob("shard-[0-9][0-9][0-9][0-9].cql"):
-        if stale.name not in live:
-            stale.unlink()
-    for stale in out.glob("shard-g*.cql"):
-        stale.unlink()
-    for _gen, stale in list_generation_manifests(out):
-        stale.unlink()
-    for orphan in out.glob("*.tmp-*"):
-        orphan.unlink(missing_ok=True)
-
-    manifest = {
-        "magic": STORE_MAGIC,
-        "format_version": STORE_FORMAT_VERSION,
-        "device_name": compiled.device_name,
-        "variant": compiled.variant,
-        "window_size": compiled.window_size,
-        "n_shards": n_shards,
-        "n_entries": len(compiled),
-        "shards": shard_table,
-        "entries": index,
-    }
-    atomic_write(out / MANIFEST_NAME, json.dumps(manifest, indent=1) + "\n")
-    return ShardedStore.open(out)
 
 
 class _MmapPool:
@@ -380,7 +282,7 @@ class _MmapPool:
 
 
 class ShardedStore:
-    """Read-side handle on a CQS1 store: lazy, offset-indexed access.
+    """Read-side handle on one store generation: lazy, offset-indexed access.
 
     Opening a store reads and validates only the manifest; pulse bytes
     stay on disk until :meth:`read_record` (one zero-copy mmap view per
@@ -410,12 +312,12 @@ class ShardedStore:
         self.device_name = device_name
         self.variant = variant
         self.window_size = window_size
-        # Hash-routing width (shard_index modulus).  A CQS2 store's
+        # Hash-routing width (shard_index modulus).  A generation's
         # shard *table* can be wider: staged commit files append beyond
         # the base layout, so use ``shard_count`` to iterate files.
         self.n_shards = n_shards
-        #: Committed CQS2 generation this handle is pinned to (0 for a
-        #: plain CQS1 store).  The mmap pool below maps exactly this
+        #: Committed generation this handle is pinned to (0 for a legacy
+        #: CQS1 store).  The mmap pool below maps exactly this
         #: generation's files, so reads stay snapshot-consistent while
         #: a writer publishes newer generations into the directory.
         self.generation = generation
@@ -456,13 +358,12 @@ class ShardedStore:
     ) -> "ShardedStore":
         """Open a store directory, validating its manifest and layout.
 
-        Recovery-on-open: CQS2 generation manifests are tried newest
-        first, falling back to the legacy ``manifest.json`` (generation
-        0).  The first candidate that fully validates -- parse, magic,
-        shard files present at the recorded sizes, spans in range --
-        wins, so a crash that left a torn temp manifest or an orphaned
-        staged shard reopens as the newest *committed* generation,
-        never a hybrid.
+        Recovery-on-open: generation manifests are tried newest first,
+        a legacy ``manifest.json`` (generation 0) last.  The first
+        candidate that fully validates -- parse, magic, shard files
+        present at the recorded sizes, spans in range -- wins, so a
+        crash that left a torn temp manifest or an orphaned staged shard
+        reopens as the newest *committed* generation, never a hybrid.
 
         Args:
             path: The ``*.cqs`` store directory.
@@ -470,20 +371,17 @@ class ShardedStore:
                 mmaps (the handle-pool budget).
         """
         root = pathlib.Path(path)
-        candidates: List[Tuple[int, pathlib.Path]] = list_generation_manifests(root)
-        legacy = root / MANIFEST_NAME
-        if legacy.is_file() or not candidates:
-            candidates.append((0, legacy))
-        if not candidates[0][1].is_file() and len(candidates) == 1:
-            raise StoreError(f"no CQS1 manifest at {legacy}")
+        candidates = list_generation_manifests(root)
+        if not candidates:
+            raise StoreError(f"no store manifest in {root}")
         failures: List[str] = []
         for _generation, manifest_path in candidates:
             try:
                 return cls._open_manifest(root, manifest_path, max_open_shards)
             except StoreError as exc:
+                if len(candidates) == 1:
+                    raise
                 failures.append(f"{manifest_path.name}: {exc}")
-        if len(failures) == 1:
-            raise StoreError(failures[0].split(": ", 1)[1])
         raise StoreError(
             "no openable manifest generation in "
             f"{root}: " + "; ".join(failures)
@@ -496,95 +394,63 @@ class ShardedStore:
         manifest_path: pathlib.Path,
         max_open_shards: int,
     ) -> "ShardedStore":
-        """Parse and fully validate one manifest candidate (CQS1 or CQS2)."""
-        if not manifest_path.is_file():
-            raise StoreError(f"no CQS1 manifest at {manifest_path}")
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise StoreError(f"corrupt CQS1 manifest: {exc}") from None
-        if not isinstance(manifest, dict):
-            raise StoreError(f"{manifest_path} is not a CQS1 manifest (bad magic)")
-        magic = manifest.get("magic")
-        if magic == STORE_MAGIC_V2:
-            return cls._open_v2(root, manifest_path, manifest, max_open_shards)
-        if magic != STORE_MAGIC:
-            raise StoreError(f"{manifest_path} is not a CQS1 manifest (bad magic)")
-        version = manifest.get("format_version")
-        if version != STORE_FORMAT_VERSION:
-            raise StoreError(
-                f"unsupported CQS1 format version {version!r} "
-                f"(this build reads version {STORE_FORMAT_VERSION})"
-            )
-        try:
-            n_shards = int(manifest["n_shards"])
-            shard_table = manifest["shards"]
-            device_name = manifest["device_name"]
-            variant = manifest["variant"]
-            window_size = int(manifest["window_size"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed CQS1 manifest: {exc!r}") from None
-        if n_shards < 1 or len(shard_table) != n_shards:
-            raise StoreError(
-                f"manifest declares {n_shards} shards but lists "
-                f"{len(shard_table)} shard files"
-            )
-        shard_files, shard_sizes = cls._validate_shard_table(root, shard_table)
-        index = cls._validate_entries(
-            manifest, shard_sizes, versioned=False
-        )
-        return cls(
-            path=root,
-            device_name=device_name,
-            variant=variant,
-            window_size=window_size,
-            n_shards=n_shards,
-            shard_files=tuple(shard_files),
-            index=index,
-            max_open_shards=max_open_shards,
-            generation=0,
-        )
+        """Parse and fully validate one manifest candidate.
 
-    @classmethod
-    def _open_v2(
-        cls,
-        root: pathlib.Path,
-        manifest_path: pathlib.Path,
-        manifest: Dict,
-        max_open_shards: int,
-    ) -> "ShardedStore":
-        """Validate one CQS2 (writable-layer) generation manifest.
-
+        A ``CQS2`` manifest is one committed generation.  A legacy
+        ``CQS1`` manifest reads as generation 0: every entry at version
+        1, no tombstones, and a shard table exactly ``n_shards`` wide.
         Unknown top-level fields are tolerated (forward compatibility);
         structural damage -- duplicate entry keys, a tombstone colliding
         with a live entry, bad versions or generations -- is a typed
         :class:`StoreError`.
         """
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except OSError as exc:
+            raise StoreError(f"cannot read manifest {manifest_path}: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise StoreError(f"corrupt store manifest: {exc}") from None
+        magic = manifest.get("magic") if isinstance(manifest, dict) else None
+        if magic not in (STORE_MAGIC, STORE_MAGIC_V2):
+            raise StoreError(f"{manifest_path} is not a store manifest (bad magic)")
+        legacy = magic == STORE_MAGIC
+        readable = STORE_FORMAT_VERSION if legacy else STORE_FORMAT_VERSION_V2
         version = manifest.get("format_version")
-        if version != STORE_FORMAT_VERSION_V2:
+        if version != readable:
             raise StoreError(
-                f"unsupported CQS2 format version {version!r} "
-                f"(this build reads version {STORE_FORMAT_VERSION_V2})"
+                f"unsupported {magic} format version {version!r} "
+                f"(this build reads version {readable})"
             )
         try:
-            generation = int(manifest["generation"])
+            generation = 0 if legacy else int(manifest["generation"])
             n_shards = int(manifest["n_shards"])
-            shard_table = manifest["shards"]
+            shard_table = list(manifest["shards"])
             device_name = manifest["device_name"]
             variant = manifest["variant"]
             window_size = int(manifest["window_size"])
+            entry_rows = list(manifest["entries"])
+            declared_entries = int(manifest.get("n_entries", len(entry_rows)))
+            tombstone_rows = [] if legacy else list(manifest.get("tombstones", []))
         except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed CQS2 manifest: {exc!r}") from None
-        if generation < 1:
+            raise StoreError(f"malformed {magic} manifest: {exc!r}") from None
+        if not legacy and generation < 1:
             raise StoreError(f"CQS2 generation must be >= 1, got {generation}")
         if n_shards < 1:
             raise StoreError(f"n_shards must be >= 1, got {n_shards}")
-        if not isinstance(shard_table, list) or len(shard_table) < 1:
-            raise StoreError("CQS2 manifest lists no shard files")
+        if not shard_table or (legacy and len(shard_table) != n_shards):
+            raise StoreError(
+                f"manifest declares {n_shards} shards but lists "
+                f"{len(shard_table)} shard files"
+            )
         shard_files, shard_sizes = cls._validate_shard_table(root, shard_table)
-        index = cls._validate_entries(manifest, shard_sizes, versioned=True)
+        index = cls._validate_entries(entry_rows, shard_sizes, versioned=not legacy)
+        if len(index) != declared_entries:
+            raise StoreError(
+                f"manifest declares {declared_entries} entries, "
+                f"index holds {len(index)}"
+            )
         tombstones: Dict[_Key, int] = {}
-        for row in manifest.get("tombstones", []):
+        for row in tombstone_rows:
             try:
                 key = (str(row["gate"]), tuple(int(q) for q in row["qubits"]))
                 dead_version = int(row["version"])
@@ -649,13 +515,9 @@ class ShardedStore:
 
     @staticmethod
     def _validate_entries(
-        manifest: Dict, shard_sizes: List[int], versioned: bool
+        entry_rows: List, shard_sizes: List[int], versioned: bool
     ) -> Dict[_Key, StoreRecord]:
         """Range-check and index the manifest's entry rows."""
-        try:
-            entry_rows = manifest["entries"]
-        except KeyError as exc:
-            raise StoreError(f"malformed CQS1 manifest: {exc!r}") from None
         index: Dict[_Key, StoreRecord] = {}
         n_files = len(shard_sizes)
         for row in entry_rows:
@@ -698,15 +560,6 @@ class ShardedStore:
                     f"{record.qubits}"
                 )
             index[key] = record
-        try:
-            declared_entries = int(manifest.get("n_entries", len(index)))
-        except (TypeError, ValueError) as exc:
-            raise StoreError(f"malformed CQS1 manifest: {exc!r}") from None
-        if len(index) != declared_entries:
-            raise StoreError(
-                f"manifest declares {declared_entries} entries, "
-                f"index holds {len(index)}"
-            )
         return index
 
     # -- lifecycle -----------------------------------------------------------
@@ -735,9 +588,10 @@ class ShardedStore:
     def shard_count(self) -> int:
         """Shard *files* in this generation's table.
 
-        Equal to ``n_shards`` for a plain CQS1 store; a CQS2 generation
-        appends staged commit files beyond the hash-routing width, so
-        iterate files with this, route keys with ``n_shards``.
+        Equal to ``n_shards`` for a freshly saved or compacted
+        generation; a commit appends its staged file beyond the
+        hash-routing width, so iterate files with this, route keys with
+        ``n_shards``.
         """
         return len(self._shard_files)
 
@@ -875,89 +729,57 @@ class ShardedStore:
 
     # -- eager paths ---------------------------------------------------------
 
-    def _shard_view(self, shard: int) -> memoryview:
-        """Whole-shard zero-copy view (range-checked, pool-served)."""
-        if not 0 <= shard < self.shard_count:
-            raise StoreError(f"shard {shard} out of range [0, {self.shard_count})")
-        return self._pool.view(shard)
-
     def read_shard(self, shard: int) -> LibraryBitstream:
-        """Parse one whole shard as its ``CQL1`` container."""
+        """Parse one whole shard file as its ``CQL1`` container."""
+        self.shard_path(shard)  # range check
         try:
-            return parse_library(self._shard_view(shard))
+            return parse_library(self._pool.view(shard))
         except CompressionError as exc:
             raise StoreError(f"corrupt shard {shard}: {exc}") from None
-
-    def decode_shard(self, shard: int) -> List[Tuple[_Key, Waveform]]:
-        """Fused decode of one whole shard, in container order.
-
-        Goes bytes -> tag/payload arrays -> grouped inverse kernels
-        without building per-window objects; used by
-        :meth:`repro.store.cache.PulseCache.prewarm` and anything else
-        that wants a shard's full decoded contents at cold-miss speed.
-        """
-        try:
-            rows = decode_library_bytes(self._shard_view(shard))
-        except CompressionError as exc:
-            raise StoreError(f"corrupt shard {shard}: {exc}") from None
-        return [
-            (normalize_key(gate, qubits), waveform)
-            for gate, qubits, waveform in rows
-        ]
 
     def load_library(self):
-        """Eagerly load and decode the whole store.
+        """Eagerly load and decode every live record.
 
         Returns a :class:`~repro.core.compiler.CompressedPulseLibrary`
         interchangeable with one loaded from the monolithic ``CQL1``
         file -- the compatibility bridge for consumers that still want
-        everything decoded up front.  Samples come from the fused
-        decoder (:meth:`decode_shard` / :meth:`decode_many`).
+        everything decoded up front.  Records come from the live index
+        (a generation's shard files can still hold superseded and
+        tombstoned bytes); samples come from the fused decoder
+        (:meth:`decode_many`).
         """
         from repro.compression.pipeline import CompressionResult
         from repro.core.compiler import CompressedPulseLibrary
 
+        if self.generation == 0:
+            # A legacy CQS1 store's shards hold exactly its records; a
+            # container that disagrees with the index is damage on disk.
+            held = sum(
+                len(self.read_shard(shard).entries)
+                for shard in range(self.shard_count)
+            )
+            if held != len(self._index):
+                raise StoreError(
+                    f"shards hold {held} entries, manifest indexes "
+                    f"{len(self._index)}"
+                )
         library = CompressedPulseLibrary(
             device_name=self.device_name,
             window_size=self.window_size,
             variant=self.variant,
         )
-        if self.generation > 0:
-            # A CQS2 generation's shard files still hold superseded and
-            # tombstoned record bytes; only the manifest index is truth.
-            keys = self.keys()
-            for key, parsed, waveform in zip(
-                keys, self.read_many(keys), self.decode_many(keys)
-            ):
-                info = self._index[key]
-                library.add(
-                    key,
-                    CompressionResult(
-                        compressed=parsed,
-                        reconstructed=waveform,
-                        mse=info.mse,
-                        threshold=info.threshold,
-                    ),
-                )
-            return library
-        entries: List[LibraryEntry] = []
-        waveforms: List[Waveform] = []
-        for shard in range(self.shard_count):
-            entries.extend(self.read_shard(shard).entries)
-            waveforms.extend(waveform for _key, waveform in self.decode_shard(shard))
-        if len(entries) != len(self._index):
-            raise StoreError(
-                f"shards hold {len(entries)} entries, manifest indexes "
-                f"{len(self._index)}"
-            )
-        for entry, waveform in zip(entries, waveforms):
+        keys = self.keys()
+        for key, parsed, waveform in zip(
+            keys, self.read_many(keys), self.decode_many(keys)
+        ):
+            info = self._index[key]
             library.add(
-                (entry.gate, entry.qubits),
+                key,
                 CompressionResult(
-                    compressed=entry.compressed,
+                    compressed=parsed,
                     reconstructed=waveform,
-                    mse=entry.mse,
-                    threshold=entry.threshold,
+                    mse=info.mse,
+                    threshold=info.threshold,
                 ),
             )
         return library
@@ -978,5 +800,5 @@ class ShardedStore:
 
 
 def open_store(path: Union[str, pathlib.Path]) -> ShardedStore:
-    """Open a CQS1 store directory (alias of :meth:`ShardedStore.open`)."""
+    """Open a store directory (alias of :meth:`ShardedStore.open`)."""
     return ShardedStore.open(path)

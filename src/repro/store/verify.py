@@ -23,11 +23,7 @@ from typing import Dict, List, Tuple, Union
 
 from repro.errors import CompressionError, ReproError, StoreError
 from repro.compression.bitstream import parse_waveform, parse_waveform_scalar
-from repro.store.sharded import (
-    MANIFEST_NAME,
-    ShardedStore,
-    list_generation_manifests,
-)
+from repro.store.sharded import ShardedStore, list_generation_manifests
 
 __all__ = ["ShardReport", "VerifyReport", "verify_store", "format_report"]
 
@@ -106,8 +102,6 @@ def verify_store(path: Union[str, pathlib.Path]) -> VerifyReport:
 
     manifests = list_generation_manifests(root)
     report.generations_found = sorted(gen for gen, _path in manifests)
-    if (root / MANIFEST_NAME).is_file():
-        report.generations_found.insert(0, 0)
     if report.generations_found:
         low, high = report.generations_found[0], report.generations_found[-1]
         present = set(report.generations_found)
@@ -118,9 +112,7 @@ def verify_store(path: Union[str, pathlib.Path]) -> VerifyReport:
     # Which candidates the reader would skip, and why: advisory, but an
     # operator wants to see a torn newest manifest even though open()
     # recovered past it.
-    for _generation, manifest_path in manifests + [(0, root / MANIFEST_NAME)]:
-        if not manifest_path.is_file():
-            continue
+    for _generation, manifest_path in manifests:
         try:
             ShardedStore._open_manifest(root, manifest_path, max_open_shards=1)
         except StoreError as exc:

@@ -1,9 +1,13 @@
-"""The CQS2 writable store layer: staged updates, atomic generation commit.
+"""The CQS2 store writer: generation 1, staged updates, atomic commit.
+
+:func:`save_store` publishes a compiled library as generation 1 --
+every record at version 1, hash-routed into ``n_shards`` fresh shard
+files -- through the same atomic publish every commit uses (below).
 
 COMPAQT's pulse library is recompiled continuously -- qubits drift, the
 adaptive layer recalibrates, and the controller's waveform memory must
-pick up new pulses *while serving*.  :class:`StoreWriter` makes a CQS1
-store directory updatable without ever breaking a concurrent reader:
+pick up new pulses *while serving*.  :class:`StoreWriter` publishes
+each later generation without ever breaking a concurrent reader:
 
 * **Staging.**  ``put`` / ``delete`` accumulate in memory.  ``commit``
   serializes every staged record through the fused indexed serializer
@@ -28,9 +32,10 @@ store directory updatable without ever breaking a concurrent reader:
   every hook point below and assert exactly this.
 
 * **Compaction.**  ``compact`` re-encodes the live records through the
-  fused serializer into fresh hash-routed shard files, drops
-  tombstones and superseded bytes, and publishes the result as a new
-  generation under the very same protocol -- crash-safe for free.
+  fused serializer into fresh hash-routed shard files -- the layout
+  :func:`save_store` writes -- drops tombstones and superseded bytes,
+  and publishes the result as a new generation under the very same
+  protocol -- crash-safe for free.
 
 The writer assumes a **single writer per store directory** (the usual
 control-stack arrangement: one recalibration loop, many readers).
@@ -43,7 +48,8 @@ import json
 import os
 import pathlib
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from collections import Counter
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.errors import StoreError
 from repro.compression.bitstream import (
@@ -64,7 +70,7 @@ from repro.store.sharded import (
     shard_index,
 )
 
-__all__ = ["COMMIT_HOOK_POINTS", "COMPACT_HOOK_POINTS", "StoreWriter"]
+__all__ = ["COMMIT_HOOK_POINTS", "COMPACT_HOOK_POINTS", "StoreWriter", "save_store"]
 
 _Key = Tuple[str, Tuple[int, ...]]
 
@@ -100,16 +106,64 @@ def _staged_shard_name(generation: int) -> str:
     return f"shard-g{generation:010d}.cql"
 
 
-def _compact_shard_name(generation: int, shard: int) -> str:
+def _routed_shard_name(generation: int, shard: int) -> str:
     return f"shard-g{generation:010d}-{shard:04d}.cql"
+
+
+def save_store(
+    compiled,
+    path: Union[str, pathlib.Path],
+    n_shards: int = 4,
+) -> ShardedStore:
+    """Write a compiled library as a store directory at generation 1.
+
+    Args:
+        compiled: A :class:`~repro.core.compiler.CompressedPulseLibrary`.
+        path: Store directory to create (conventionally ``*.cqs``).
+            Created if missing; a store already there is replaced --
+            its manifests, shard files and publish debris all go.
+        n_shards: Shard file count.  More shards mean smaller fetch
+            units and more single-flight parallelism; empty shards are
+            legal (they serialize as zero-entry containers).
+
+    Returns:
+        The opened :class:`ShardedStore` (reads go through the same
+        code path every other client uses, so a just-written store is
+        verified openable).
+    """
+    if n_shards < 1:
+        raise StoreError(f"n_shards must be >= 1, got {n_shards}")
+    if len(compiled) == 0:
+        raise StoreError("cannot store an empty compressed library")
+    root = pathlib.Path(path)
+    root.mkdir(parents=True, exist_ok=True)
+    # Replacing a store: none of its manifests may outrank or outlive
+    # generation 1, and its shard files and publish debris go too.
+    for _generation, stale in list_generation_manifests(root):
+        stale.unlink()
+    for stale in (*root.glob("shard-*.cql"), *root.glob("*.tmp-*")):
+        stale.unlink(missing_ok=True)
+    records = [
+        (_library_entry(normalize_key(*key), result), 1) for key, result in compiled
+    ]
+    blobs, shard_table, index_rows = _hash_routed_shards(
+        compiled, records, n_shards, generation=1
+    )
+    _publish_generation(
+        root, compiled, n_shards, generation=1, parent_generation=0,
+        blobs=blobs, shard_table=shard_table, index_rows=index_rows,
+        tombstones={},
+    )
+    return ShardedStore.open(root)
 
 
 class StoreWriter:
     """Single-writer update handle over a store directory.
 
     Args:
-        path: An existing ``*.cqs`` store directory (CQS1 or any CQS2
-            generation -- the writer rebases on the newest valid one).
+        path: An existing ``*.cqs`` store directory (any generation, a
+            legacy CQS1 store included -- the writer rebases on the
+            newest valid one).
 
     Use as a context manager or call :meth:`close`; the writer keeps a
     read handle on its base generation for index/version lookups.
@@ -190,30 +244,6 @@ class StoreWriter:
             self._puts.clear()
             self._deletes.clear()
 
-    # -- the atomic publish primitive ---------------------------------------
-
-    def _publish(self, name: str, data: bytes, tmp_point: str, done_point: str) -> None:
-        """temp + fsync + rename + dir-fsync, with chaos yield points.
-
-        ``tmp_point`` fires after the payload is durable under the temp
-        name (a crash here orphans one ``*.tmp-*`` file); ``done_point``
-        fires after the rename is durable.
-        """
-        target = self.path / name
-        tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}")
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
-            preempt(tmp_point)
-            os.replace(tmp, target)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        fsync_dir(self.path)
-        preempt(done_point)
-
     # -- commit --------------------------------------------------------------
 
     def commit(self) -> ShardedStore:
@@ -232,68 +262,25 @@ class StoreWriter:
             generation = base.generation + 1
             preempt("writer.commit.begin")
 
-            staged_keys = sorted(self._puts)
-            entries = tuple(
-                LibraryEntry(
-                    gate=key[0],
-                    qubits=key[1],
-                    mse=self._puts[key].mse,
-                    threshold=self._puts[key].threshold,
-                    compressed=self._puts[key].compressed,
-                )
-                for key in staged_keys
-            )
-            staged_file: Optional[str] = None
-            spans = []
-            if entries:
-                blob, spans = serialize_library_indexed(
-                    LibraryBitstream(
-                        device_name=base.device_name,
-                        window_size=base.window_size,
-                        variant=base.variant,
-                        entries=entries,
-                    )
-                )
-                staged_file = _staged_shard_name(generation)
-            preempt("writer.commit.staged")
-
             base_files = [base.shard_path(s).name for s in range(base.shard_count)]
-            if staged_file is not None:
-                self._publish(
-                    staged_file,
-                    blob,
-                    "writer.shard.tmp_written",
-                    "writer.shard.published",
-                )
-
-            index_rows: List[Dict] = []
-            live_per_file = [0] * (len(base_files) + (1 if staged_file else 0))
-            for key in base.keys():
-                if key in self._puts or key in self._deletes:
-                    continue
-                record = base.record_info(*key)
-                index_rows.append(_entry_row(record, record.shard))
-                live_per_file[record.shard] += 1
-            staged_shard = len(base_files)
-            for key, span in zip(staged_keys, spans):
-                result = self._puts[key]
+            staged = []
+            for key in sorted(self._puts):
                 if key in base:
                     version = base.record_info(*key).version + 1
                 else:
                     version = base.tombstones.get(key, 0) + 1
-                index_rows.append(
-                    {
-                        "gate": key[0],
-                        "qubits": list(key[1]),
-                        "shard": staged_shard,
-                        "offset": span.offset,
-                        "length": span.length,
-                        "mse": result.mse,
-                        "threshold": result.threshold,
-                        "version": version,
-                    }
-                )
-                live_per_file[staged_shard] += 1
+                staged.append((_library_entry(key, self._puts[key]), version))
+            index_rows = [
+                _entry_row(base.record_info(*key))
+                for key in base.keys()
+                if key not in self._puts and key not in self._deletes
+            ]
+            blobs: Dict[str, bytes] = {}
+            if staged:
+                blob, rows = _shard_file(base, len(base_files), staged)
+                blobs[_staged_shard_name(generation)] = blob
+                index_rows += rows
+            preempt("writer.commit.staged")
 
             tombstones = {
                 key: version
@@ -303,22 +290,22 @@ class StoreWriter:
             for key in sorted(self._deletes):
                 tombstones[key] = base.record_info(*key).version + 1
 
+            live = Counter(row["shard"] for row in index_rows)
+            sizes = [(self.path / name).stat().st_size for name in base_files]
+            sizes += [len(blob) for blob in blobs.values()]
             shard_table = [
-                {
-                    "file": name,
-                    "n_entries": live_per_file[position],
-                    "n_bytes": (self.path / name).stat().st_size,
-                }
-                for position, name in enumerate(
-                    base_files + ([staged_file] if staged_file else [])
+                {"file": name, "n_entries": live[position], "n_bytes": size}
+                for position, (name, size) in enumerate(
+                    zip(base_files + list(blobs), sizes)
                 )
             ]
-            self._publish_manifest(
-                generation, base.generation, shard_table, index_rows, tombstones
+            _publish_generation(
+                self.path, base, base.n_shards, generation, base.generation,
+                blobs, shard_table, index_rows, tombstones,
             )
             preempt("writer.commit.cleanup")
             self._cleanup(
-                keep_files={row["file"] for row in shard_table} | set(base_files),
+                keep_files=set(base_files) | set(blobs),
                 parent_generation=base.generation,
             )
             self._puts.clear()
@@ -348,115 +335,34 @@ class StoreWriter:
             preempt("writer.compact.begin")
 
             keys = base.keys()
-            parsed = base.read_many(keys)
-            by_shard: Dict[int, List[Tuple[_Key, object]]] = {
-                shard: [] for shard in range(base.n_shards)
-            }
-            for key, compressed in zip(keys, parsed):
-                by_shard[shard_index(*key, base.n_shards)].append((key, compressed))
-
-            blobs: List[bytes] = []
-            index_rows: List[Dict] = []
-            shard_table: List[Dict] = []
-            for shard in range(base.n_shards):
-                members = by_shard[shard]
-                entries = tuple(
-                    LibraryEntry(
-                        gate=key[0],
-                        qubits=key[1],
-                        mse=base.record_info(*key).mse,
-                        threshold=base.record_info(*key).threshold,
-                        compressed=compressed,
-                    )
-                    for key, compressed in members
+            records = []
+            for key, compressed in zip(keys, base.read_many(keys)):
+                info = base.record_info(*key)
+                entry = LibraryEntry(
+                    gate=key[0],
+                    qubits=key[1],
+                    mse=info.mse,
+                    threshold=info.threshold,
+                    compressed=compressed,
                 )
-                blob, spans = serialize_library_indexed(
-                    LibraryBitstream(
-                        device_name=base.device_name,
-                        window_size=base.window_size,
-                        variant=base.variant,
-                        entries=entries,
-                    )
-                )
-                blobs.append(blob)
-                file_name = _compact_shard_name(generation, shard)
-                shard_table.append(
-                    {
-                        "file": file_name,
-                        "n_entries": len(entries),
-                        "n_bytes": len(blob),
-                    }
-                )
-                for (key, _compressed), span in zip(members, spans):
-                    record = base.record_info(*key)
-                    index_rows.append(
-                        _entry_row(
-                            StoreRecord(
-                                gate=key[0],
-                                qubits=key[1],
-                                shard=shard,
-                                offset=span.offset,
-                                length=span.length,
-                                mse=record.mse,
-                                threshold=record.threshold,
-                                version=record.version,
-                            ),
-                            shard,
-                        )
-                    )
+                records.append((entry, info.version))
+            blobs, shard_table, index_rows = _hash_routed_shards(
+                base, records, base.n_shards, generation
+            )
             preempt("writer.compact.staged")
-            for row, blob in zip(shard_table, blobs):
-                self._publish(
-                    row["file"],
-                    blob,
-                    "writer.shard.tmp_written",
-                    "writer.shard.published",
-                )
-            self._publish_manifest(
-                generation, base.generation, shard_table, index_rows, {}
+            _publish_generation(
+                self.path, base, base.n_shards, generation, base.generation,
+                blobs, shard_table, index_rows, {},
             )
             preempt("writer.compact.cleanup")
             base_files = [base.shard_path(s).name for s in range(base.shard_count)]
             self._cleanup(
-                keep_files={row["file"] for row in shard_table} | set(base_files),
+                keep_files=set(blobs) | set(base_files),
                 parent_generation=base.generation,
             )
             return self._rebase(generation)
 
-    # -- shared publish / cleanup machinery -----------------------------------
-
-    def _publish_manifest(
-        self,
-        generation: int,
-        parent_generation: int,
-        shard_table: List[Dict],
-        index_rows: List[Dict],
-        tombstones: Dict[_Key, int],
-    ) -> None:
-        base = self._store
-        manifest = {
-            "magic": STORE_MAGIC_V2,
-            "format_version": STORE_FORMAT_VERSION_V2,
-            "generation": generation,
-            "parent_generation": parent_generation,
-            "device_name": base.device_name,
-            "variant": base.variant,
-            "window_size": base.window_size,
-            "n_shards": base.n_shards,
-            "n_entries": len(index_rows),
-            "shards": shard_table,
-            "entries": index_rows,
-            "tombstones": [
-                {"gate": key[0], "qubits": list(key[1]), "version": version}
-                for key, version in sorted(tombstones.items())
-            ],
-        }
-        self._publish(
-            generation_manifest_name(generation),
-            (json.dumps(manifest, indent=1) + "\n").encode("utf-8"),
-            "writer.manifest.tmp_written",
-            "writer.manifest.published",
-        )
+    # -- cleanup -------------------------------------------------------------
 
     def _cleanup(self, keep_files: Set[str], parent_generation: int) -> None:
         """Sweep state no crash-recovery path can need any more.
@@ -466,9 +372,11 @@ class StoreWriter:
         and the next commit's sweep retires).  The parent generation's
         manifest and files are retained on purpose: they are the
         fallback if the just-published manifest is later found torn.
+        Every older manifest goes, a legacy ``manifest.json``
+        (generation 0) included.
         """
         for gen, manifest_path in list_generation_manifests(self.path):
-            if 0 < gen < parent_generation:
+            if gen < parent_generation:
                 manifest_path.unlink(missing_ok=True)
         for shard_file in self.path.glob("shard-*.cql"):
             if shard_file.name not in keep_files:
@@ -488,11 +396,157 @@ class StoreWriter:
         return fresh
 
 
-def _entry_row(record: StoreRecord, shard: int) -> Dict:
+# -- the shared layout and publish machinery -----------------------------------
+
+
+def _library_entry(key: _Key, result) -> LibraryEntry:
+    """The serializer entry for one compiled ``CompressionResult``."""
+    return LibraryEntry(
+        gate=key[0],
+        qubits=key[1],
+        mse=result.mse,
+        threshold=result.threshold,
+        compressed=result.compressed,
+    )
+
+
+def _shard_file(
+    source, shard: int, records: List[Tuple[LibraryEntry, int]]
+) -> Tuple[bytes, List[Dict]]:
+    """Serialize ``(entry, version)`` records as shard file ``shard``.
+
+    ``source`` carries the library metadata (a :class:`ShardedStore`
+    or a compiled library).  Returns the file's bytes and its records'
+    manifest index rows.
+    """
+    blob, spans = serialize_library_indexed(
+        LibraryBitstream(
+            device_name=source.device_name,
+            window_size=source.window_size,
+            variant=source.variant,
+            entries=tuple(entry for entry, _version in records),
+        )
+    )
+    rows = [
+        _entry_row(
+            StoreRecord(
+                gate=entry.gate,
+                qubits=entry.qubits,
+                shard=shard,
+                offset=span.offset,
+                length=span.length,
+                mse=entry.mse,
+                threshold=entry.threshold,
+                version=version,
+            )
+        )
+        for (entry, version), span in zip(records, spans)
+    ]
+    return blob, rows
+
+
+def _hash_routed_shards(
+    source, records: List[Tuple[LibraryEntry, int]], n_shards: int, generation: int
+) -> Tuple[Dict[str, bytes], List[Dict], List[Dict]]:
+    """Serialize ``(entry, version)`` records into ``n_shards`` files.
+
+    Each record goes to shard ``shard_index(gate, qubits, n_shards)``.
+    Returns the new files' bytes by name, plus the shard table and the
+    index rows of generation ``generation``'s manifest.
+    """
+    by_shard: List[List[Tuple[LibraryEntry, int]]] = [[] for _ in range(n_shards)]
+    for entry, version in records:
+        by_shard[shard_index(entry.gate, entry.qubits, n_shards)].append(
+            (entry, version)
+        )
+    blobs: Dict[str, bytes] = {}
+    shard_table: List[Dict] = []
+    index_rows: List[Dict] = []
+    for shard, members in enumerate(by_shard):
+        blob, rows = _shard_file(source, shard, members)
+        name = _routed_shard_name(generation, shard)
+        blobs[name] = blob
+        shard_table.append(
+            {"file": name, "n_entries": len(members), "n_bytes": len(blob)}
+        )
+        index_rows += rows
+    return blobs, shard_table, index_rows
+
+
+def _publish(
+    root: pathlib.Path, name: str, data: bytes, tmp_point: str, done_point: str
+) -> None:
+    """temp + fsync + rename + dir-fsync, with chaos yield points.
+
+    ``tmp_point`` fires after the payload is durable under the temp
+    name (a crash here orphans one ``*.tmp-*`` file); ``done_point``
+    fires after the rename is durable.
+    """
+    target = root / name
+    tmp = target.with_name(f"{target.name}.tmp-{os.getpid()}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        preempt(tmp_point)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    fsync_dir(root)
+    preempt(done_point)
+
+
+def _publish_generation(
+    root: pathlib.Path,
+    source,
+    n_shards: int,
+    generation: int,
+    parent_generation: int,
+    blobs: Dict[str, bytes],
+    shard_table: List[Dict],
+    index_rows: List[Dict],
+    tombstones: Dict[_Key, int],
+) -> None:
+    """Publish a generation's new shard files, then its manifest.
+
+    The manifest rename is the commit point: until it lands, the
+    directory still opens as the parent generation.
+    """
+    for name, blob in blobs.items():
+        _publish(root, name, blob, "writer.shard.tmp_written", "writer.shard.published")
+    manifest = {
+        "magic": STORE_MAGIC_V2,
+        "format_version": STORE_FORMAT_VERSION_V2,
+        "generation": generation,
+        "parent_generation": parent_generation,
+        "device_name": source.device_name,
+        "variant": source.variant,
+        "window_size": source.window_size,
+        "n_shards": n_shards,
+        "n_entries": len(index_rows),
+        "shards": shard_table,
+        "entries": index_rows,
+        "tombstones": [
+            {"gate": key[0], "qubits": list(key[1]), "version": version}
+            for key, version in sorted(tombstones.items())
+        ],
+    }
+    _publish(
+        root,
+        generation_manifest_name(generation),
+        (json.dumps(manifest, indent=1) + "\n").encode("utf-8"),
+        "writer.manifest.tmp_written",
+        "writer.manifest.published",
+    )
+
+
+def _entry_row(record: StoreRecord) -> Dict:
     return {
         "gate": record.gate,
         "qubits": list(record.qubits),
-        "shard": shard,
+        "shard": record.shard,
         "offset": record.offset,
         "length": record.length,
         "mse": record.mse,

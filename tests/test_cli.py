@@ -174,7 +174,9 @@ class TestPackCommand:
         stdout = capsys.readouterr().out
         assert "3 shards" in stdout
         assert "round-trip verified" in stdout
-        assert (out / "manifest.json").is_file()
+        assert f"manifest: {out.resolve()}/manifest-0000000001.json" in stdout
+        assert (out / "manifest-0000000001.json").is_file()
+        assert not (out / "manifest.json").exists()
 
         from repro.store import open_store
 

@@ -12,9 +12,9 @@ word-at-a-time reference on *every* input:
   corrupt record whose I and Q channels decode to different sample
   counts, which the scalar reference mishandles via numpy
   broadcasting);
-* the mmap-backed store paths (span reads, fused ``decode_many`` /
-  ``decode_shard``, prewarm) serve the same bytes and samples as the
-  pre-pool implementation, with deterministic handle release.
+* the mmap-backed store paths (span reads, fused ``decode_many``,
+  prewarm) serve the same bytes and samples as the pre-pool
+  implementation, with deterministic handle release.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CompressionError, StoreError
+from repro.errors import CompressionError
 from repro.compression.bitstream import (
     RecordSpan,
     _Writer,
@@ -308,21 +308,6 @@ class TestStoreFastPath:
         )
         twice = sharded.decode_many([key, key])
         np.testing.assert_array_equal(twice[0].samples, twice[1].samples)
-
-    def test_decode_shard_covers_every_record(self, store):
-        sharded, compiled = store
-        seen = {}
-        for shard in range(sharded.n_shards):
-            for key, waveform in sharded.decode_shard(shard):
-                seen[key] = waveform
-        assert set(seen) == set(sharded.keys())
-        for key, waveform in seen.items():
-            np.testing.assert_array_equal(
-                waveform.samples,
-                decompress_waveform(compiled.result(*key).compressed).samples,
-            )
-        with pytest.raises(StoreError):
-            sharded.decode_shard(sharded.n_shards)
 
     def test_read_record_bytes_is_span_copy(self, store):
         sharded, _ = store

@@ -122,7 +122,7 @@ class TestStaging:
             writer.discard_pending()
             assert writer.pending == 0
             same = writer.commit()
-            assert same.generation == 0
+            assert same.generation == 1
 
 
 class TestCommit:
@@ -132,7 +132,7 @@ class TestCommit:
             result = _recalibrated(writer.store, key)
             writer.put(key[0], key[1], result)
             fresh = writer.commit()
-            assert fresh.generation == 1
+            assert fresh.generation == 2
             assert fresh.record_info(*key).version == 2
             got = fresh.decode_many([key])[0]
             assert np.array_equal(got.samples, result.reconstructed.samples)
@@ -147,7 +147,7 @@ class TestCommit:
         # The pinned reader still serves the old bytes, bit for bit.
         again = old.decode_many([key])[0]
         assert np.array_equal(again.samples, before.samples)
-        assert old.generation == 0
+        assert old.generation == 1
         old.close()
 
     def test_delete_tombstones_and_resurrect_bumps(self, store_dir):
@@ -247,8 +247,8 @@ class TestCrashRecovery:
         writer.close()
 
         reopened = ShardedStore.open(store_dir)
-        assert reopened.generation in (0, 1)
-        if reopened.generation == 0:
+        assert reopened.generation in (1, 2)
+        if reopened.generation == 1:
             # The old world, untouched.
             for key in keys:
                 got = reopened.decode_many([key])[0]
@@ -282,7 +282,7 @@ class TestCrashRecovery:
         writer.close()
 
         reopened = ShardedStore.open(store_dir)
-        assert reopened.generation in (1, 2)
+        assert reopened.generation in (2, 3)
         # Compaction moves bytes, never content: both outcomes serve
         # identical samples.
         for k, samples in expect.items():
@@ -301,14 +301,14 @@ class TestCrashRecovery:
         data = newest.read_bytes()
         newest.write_bytes(data[: len(data) // 2])
         reopened = ShardedStore.open(store_dir)
-        assert reopened.generation == 1
+        assert reopened.generation == 2
         reopened.close()
 
     def test_orphan_debris_is_ignored_and_swept(self, store_dir):
         (store_dir / "manifest-0000000009.json.tmp-12345").write_bytes(b"{")
         (store_dir / "shard-g0000000042.cql").write_bytes(b"garbage")
         reopened = ShardedStore.open(store_dir)
-        assert reopened.generation == 0
+        assert reopened.generation == 1
         reopened.close()
         with StoreWriter(store_dir) as writer:
             key = writer.store.keys()[0]
@@ -319,8 +319,9 @@ class TestCrashRecovery:
         assert not (store_dir / "shard-g0000000042.cql").exists()
 
     def test_unopenable_everything_raises_typed(self, store_dir):
+        (store_dir / generation_manifest_name(1)).write_text("not json")
         (store_dir / MANIFEST_NAME).write_text("not json")
-        with pytest.raises(StoreError):
+        with pytest.raises(StoreError, match="no openable manifest generation"):
             ShardedStore.open(store_dir)
 
 
@@ -344,7 +345,7 @@ class TestManifestFuzz:
         manifest["entries"][0]["x-note"] = "tolerated"
         path.write_text(json.dumps(manifest))
         fresh = ShardedStore.open(store_dir)
-        assert fresh.generation == 1
+        assert fresh.generation == 2
         fresh.close()
 
     def test_generation_gaps_are_tolerated(self, store_dir):
@@ -368,7 +369,7 @@ class TestManifestFuzz:
         path.write_text(json.dumps(manifest))
         # The torn-write fallback opens the parent instead; force the
         # single-candidate path by removing the fallbacks.
-        (store_dir / MANIFEST_NAME).unlink()
+        (store_dir / generation_manifest_name(1)).unlink()
         with pytest.raises(StoreError, match="duplicate"):
             ShardedStore.open(store_dir)
 
@@ -379,7 +380,7 @@ class TestManifestFuzz:
             {"gate": first["gate"], "qubits": first["qubits"], "version": 9}
         )
         path.write_text(json.dumps(manifest))
-        (store_dir / MANIFEST_NAME).unlink()
+        (store_dir / generation_manifest_name(1)).unlink()
         with pytest.raises(StoreError):
             ShardedStore.open(store_dir)
 
@@ -451,7 +452,8 @@ class TestManifestFuzz:
         if mutation == "truncate_json":
             blob = blob[: data.draw(st.integers(min_value=0, max_value=len(blob) - 1))]
         path.write_text(blob)
-        (root / MANIFEST_NAME).unlink()  # force the single-candidate path
+        # Force the single-candidate path.
+        (root / generation_manifest_name(1)).unlink()
 
         try:
             fresh = ShardedStore.open(root)
@@ -501,7 +503,7 @@ class TestAdoptionAndRefresh:
                 writer.commit()
 
             assert server.refresh() is True
-            assert server.store.generation == 1
+            assert server.store.generation == 2
             after = server.fetch(*key)
             assert np.array_equal(
                 after.samples, result.reconstructed.samples
@@ -516,7 +518,7 @@ class TestVerifyTool:
     def test_clean_store_is_ok(self, store_dir):
         report = verify_store(store_dir)
         assert report.ok
-        assert report.generation == 0
+        assert report.generation == 1
         assert report.n_records > 0
         assert "status  OK" in format_report(report)
 
