@@ -80,7 +80,7 @@ def main() -> None:
                 print(
                     f"server counters: {stats.requests} requests, "
                     f"{stats.pulses_served} pulses, "
-                    f"{stats.coalesced_keys} coalesced, "
+                    f"{stats.serving.coalesced_fills} coalesced fills, "
                     f"{stats.overloads} overloads"
                 )
 

@@ -14,15 +14,18 @@ under load:
 - :mod:`repro.serve_net.server` -- :class:`NetPulseServer`, an asyncio
   front end over :class:`~repro.store.PulseServer` with bounded
   admission control (explicit overload responses, no unbounded
-  queueing), event-loop-level request coalescing layered on the store's
-  per-shard single-flight, and graceful drain-on-shutdown.
+  queueing) and graceful drain-on-shutdown.  A fetch is one executor
+  hop into the store layer, whose per-shard single-flight dedupes
+  concurrent cold fetches.
 - :mod:`repro.serve_net.client` -- :class:`PulseClient` (blocking
-  sockets) and :class:`AsyncPulseClient` (asyncio), the redesigned
-  public client API, with optional seeded retry-with-backoff on
-  overload replies.
+  sockets) and :class:`AsyncPulseClient` (asyncio), two thin transports
+  over one sans-IO request core, with optional seeded
+  retry-with-backoff on overload replies and every failure typed.
 - :mod:`repro.serve_net.loadgen` -- closed- and open-loop load
-  generators reporting p50/p95/p99 latency, throughput, overload and
-  retry counts; the measurement half of ``BENCH_network.json``.
+  generators (the closed loop on :class:`PulseClient` threads, the open
+  loop on :class:`AsyncPulseClient`) reporting p50/p95/p99 latency,
+  throughput, overload and retry counts; the measurement half of
+  ``BENCH_network.json``.
 
 Quickstart::
 

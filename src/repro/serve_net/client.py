@@ -1,4 +1,4 @@
-"""The redesigned public client API: ``PulseClient`` / ``AsyncPulseClient``.
+"""The public client API: ``PulseClient`` / ``AsyncPulseClient``.
 
 Both clients speak the ``CQN1`` protocol against a
 :class:`~repro.serve_net.server.NetPulseServer` and expose the same
@@ -6,7 +6,13 @@ surface as the in-process :class:`~repro.store.PulseServer` --
 ``fetch`` / ``fetch_batch`` returning decoded
 :class:`~repro.pulses.waveform.Waveform` objects bit-identical to the
 server's copies -- plus the wire-only extras (raw record fetches,
-ping, remote stats, remote key inventory).
+ping, remote stats, remote key inventory, metrics and traces).
+
+Every request is written once, as a generator with no I/O in it: it
+yields frames to send and back-off delays to sleep, and is sent each
+reply (or thrown the round trip's typed error).  :class:`PulseClient`
+drives it over a blocking socket; :class:`AsyncPulseClient` drives it
+over asyncio streams, so its request methods return awaitables.
 
 Overload is a first-class outcome, not an exception to hide: when the
 server sheds a request under admission control, clients raise
@@ -15,6 +21,9 @@ retry, or (in the load generator's case) count.  Both clients can also
 do the backing off themselves: construct with ``retries=N`` and shed
 fetches are retried with seeded exponential backoff + jitter before
 the error is surfaced (``retries_performed`` counts what that cost).
+Any other failed round trip (reset, closed socket, timeout, torn frame)
+drops the connection and raises :class:`~repro.errors.ProtocolError`;
+the next request redials.
 
 Connections are lazy: the first request dials the server, ``close``
 hangs up, and both clients are context managers.  One client drives
@@ -26,13 +35,14 @@ the :mod:`~repro.serve_net.loadgen` module does exactly that.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import random
 import socket
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ProtocolError, ServerOverloadedError, StoreError
+from repro.errors import ProtocolError, ReproError, ServerOverloadedError, StoreError
 from repro.obs import Tracer
 from repro.pulses.waveform import Waveform
 from repro.serve_net import protocol
@@ -42,6 +52,14 @@ __all__ = ["PulseClient", "AsyncPulseClient", "parse_address"]
 _Key = Tuple[str, Tuple[int, ...]]
 
 _Request = Tuple[str, Sequence[int]]
+
+#: One request in flight: yields frames to send and delays to sleep, is
+#: sent each reply, returns the decoded result.
+_Exchange = Generator[Union[bytes, float], protocol.Reply, Any]
+
+#: What a failed round trip raises before it is mapped to ProtocolError
+#: (``asyncio.TimeoutError`` is an ``OSError`` only from Python 3.11).
+_WIRE_ERRORS = (OSError, EOFError, asyncio.TimeoutError, ProtocolError)
 
 
 def parse_address(
@@ -63,6 +81,21 @@ def parse_address(
     raise StoreError(
         f"expected ('host', port) or 'host:port', got {address!r}"
     )
+
+
+def _wire_error(exc: BaseException) -> ProtocolError:
+    """The typed error for a round trip that failed on the wire.
+
+    Timeouts keep "timed out" in the message: load reports classify
+    failures by that text.
+    """
+    if isinstance(exc, ProtocolError):
+        return exc
+    if isinstance(exc, (TimeoutError, asyncio.TimeoutError)):
+        return ProtocolError("timed out waiting for the reply")
+    if isinstance(exc, EOFError):
+        return ProtocolError("server closed the connection mid-frame")
+    return ProtocolError(f"connection lost: {exc}")
 
 
 def _check_reply(reply: protocol.Reply, expected_type: int) -> protocol.Reply:
@@ -100,15 +133,12 @@ def _decode_fetch_reply(
     ]
 
 
-def _normalize(requests: Sequence[_Request]) -> List[_Key]:
-    return [(gate, tuple(int(q) for q in qubits)) for gate, qubits in requests]
-
-
-def _validate_retry(retries: int, backoff: float) -> None:
-    if retries < 0:
-        raise StoreError(f"retries must be >= 0, got {retries}")
-    if backoff < 0:
-        raise StoreError(f"backoff must be >= 0, got {backoff}")
+def _decode_json_reply(reply: protocol.Reply, expected_type: int, what: str) -> Any:
+    reply = _check_reply(reply, expected_type)
+    try:
+        return json.loads(reply.items[0].decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"{what} reply is not JSON: {exc}") from None
 
 
 def _retry_delay(rng: random.Random, backoff: float, attempt: int) -> float:
@@ -120,7 +150,140 @@ def _retry_delay(rng: random.Random, backoff: float, attempt: int) -> float:
     return backoff * (2**attempt) * (0.5 + rng.random())
 
 
-class PulseClient:
+def _request(method):
+    """Make a generator method (annotated with its result) a request
+    method: calling it hands the generator to the transport's ``_run``."""
+
+    @functools.wraps(method)
+    def call(self: "_ClientCore", *args: Any, **kwargs: Any) -> Any:
+        return self._run(method(self, *args, **kwargs))
+
+    return call
+
+
+class _ClientCore:
+    """Settings, retry state and every request, shared by both clients.
+
+    Subclasses supply the transport: ``_roundtrip(frame) -> Reply``,
+    which raises only typed errors, and ``_run(exchange)``, which
+    drives one request's generator to its result.
+    """
+
+    def __init__(
+        self,
+        address: Union[str, Tuple[str, int]],
+        port: Optional[int] = None,
+        timeout: float = 30.0,
+        retries: int = 0,
+        backoff: float = 0.05,
+        seed: Optional[int] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        if retries < 0:
+            raise StoreError(f"retries must be >= 0, got {retries}")
+        if backoff < 0:
+            raise StoreError(f"backoff must be >= 0, got {backoff}")
+        self.address = parse_address(address, port)
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff = backoff
+        self.retries_performed = 0
+        self.tracer = tracer
+        self._rng = random.Random(seed)
+
+    def _run(self, exchange: _Exchange) -> Any:
+        """Drive one request: send each frame it yields, sleep each
+        delay, resume it with the reply or throw it the typed error."""
+        raise NotImplementedError
+
+    # -- the client API ----------------------------------------------------------
+
+    @_request
+    def fetch(self, gate: str, qubits: Sequence[int]) -> Waveform:
+        """One decoded pulse over the wire."""
+        return (yield from self._fetch([(gate, qubits)], protocol.MODE_SAMPLES))[0]
+
+    @_request
+    def fetch_batch(self, requests: Sequence[_Request]) -> List[Waveform]:
+        """A batch of decoded pulses, in request order.
+
+        Raises :class:`~repro.errors.ServerOverloadedError` when the
+        server sheds the request (after ``retries`` backed-off
+        attempts), :class:`~repro.errors.StoreError` on server-side
+        errors (e.g. unknown keys).
+        """
+        return (yield from self._fetch(requests, protocol.MODE_SAMPLES))
+
+    @_request
+    def fetch_records(self, requests: Sequence[_Request]) -> List[bytes]:
+        """Raw ``CQW1`` record bytes per key (no decode on either side)."""
+        return (yield from self._fetch(requests, protocol.MODE_RECORD))
+
+    def _fetch(self, requests: Sequence[_Request], mode: int) -> _Exchange:
+        keys = [(gate, tuple(int(q) for q in qubits)) for gate, qubits in requests]
+        sp = None
+        if self.tracer is not None:
+            sp = self.tracer.start_trace(
+                "client.fetch", keys=len(keys), mode=mode
+            )
+        trace = None if sp is None else (sp.trace_id, sp.span_id)
+        frame = protocol.encode_fetch(keys, mode, trace=trace)
+        attempt = 0
+        try:
+            while True:
+                try:
+                    return _decode_fetch_reply((yield frame), keys, mode)
+                except ServerOverloadedError:
+                    if attempt >= self.retries:
+                        raise
+                    delay = _retry_delay(self._rng, self.backoff, attempt)
+                    attempt += 1
+                    self.retries_performed += 1
+                    yield delay
+        finally:
+            if sp is not None:
+                sp.tags["retries"] = attempt
+                sp.finish()
+
+    @_request
+    def ping(self) -> float:
+        """Round-trip a PING; returns the latency in seconds."""
+        start = time.perf_counter()
+        _check_reply((yield protocol.encode_ping()), protocol.MSG_PING)
+        return time.perf_counter() - start
+
+    @_request
+    def stats(self) -> Dict:
+        """The server's counter snapshot (see ``NetServerStats.as_dict``)."""
+        reply = yield protocol.encode_stats()
+        return _decode_json_reply(reply, protocol.MSG_STATS, "stats")
+
+    @_request
+    def keys(self) -> List[_Key]:
+        """The remote store's full pulse-key inventory."""
+        reply = _check_reply((yield protocol.encode_keys()), protocol.MSG_KEYS)
+        return list(reply.keys)
+
+    @_request
+    def metrics(self) -> Dict:
+        """The server's merged metrics-registry snapshot.
+
+        Shape: ``{"counters": ..., "gauges": ..., "histograms": ...}``
+        (see :meth:`repro.obs.MetricsRegistry.snapshot`), aggregated
+        across the network tier, serving layer, cache, and the
+        process-wide default registry.
+        """
+        reply = yield protocol.encode_metrics()
+        return _decode_json_reply(reply, protocol.MSG_METRICS, "metrics")
+
+    @_request
+    def traces(self, limit: int = 16) -> List[Dict]:
+        """Up to ``limit`` recent completed traces, newest last."""
+        reply = yield protocol.encode_traces(limit)
+        return _decode_json_reply(reply, protocol.MSG_TRACES, "traces")
+
+
+class PulseClient(_ClientCore):
     """Blocking ``CQN1`` client over a plain TCP socket.
 
     Args:
@@ -135,33 +298,15 @@ class PulseClient:
         backoff: Base delay in seconds for the exponential backoff
             schedule (doubles per attempt, jittered).
         seed: Seed for the jitter RNG (``None`` = nondeterministic).
-        tracer: Optional :class:`~repro.obs.Tracer`.  Sampled fetches
-            open a ``client.fetch`` root span and propagate its ids to
-            the server in a ``FETCH_TRACED`` frame, so the server-side
-            stage spans land in the same trace.  ``None`` disables
-            client-side tracing (and the frames stay byte-identical to
-            the pre-extension protocol).
+        tracer: Optional :class:`~repro.obs.Tracer`, assignable at any
+            time.  Sampled fetches open a ``client.fetch`` root span
+            and propagate its ids to the server in a ``FETCH_TRACED``
+            frame, so the server-side stage spans land in the same
+            trace.  ``None`` disables client-side tracing (and the
+            frames stay byte-identical to the pre-extension protocol).
     """
 
-    def __init__(
-        self,
-        address: Union[str, Tuple[str, int]],
-        port: Optional[int] = None,
-        timeout: float = 30.0,
-        retries: int = 0,
-        backoff: float = 0.05,
-        seed: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        _validate_retry(retries, backoff)
-        self.address = parse_address(address, port)
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.retries_performed = 0
-        self.tracer = tracer
-        self._rng = random.Random(seed)
-        self._sock: Optional[socket.socket] = None
+    _sock: Optional[socket.socket] = None
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -197,21 +342,20 @@ class PulseClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- wire I/O --------------------------------------------------------------
+    # -- transport -------------------------------------------------------------
 
     def _roundtrip(self, request_frame: bytes) -> protocol.Reply:
         self.connect()
         assert self._sock is not None
         try:
             self._sock.sendall(request_frame)
-            header = self._read_exact(4)
-            length = protocol.parse_frame_length(header)
+            length = protocol.parse_frame_length(self._read_exact(4))
             payload = self._read_exact(length)
-        except (OSError, ProtocolError):
+        except _WIRE_ERRORS as exc:
             # The connection state is unknown after any I/O or framing
             # failure; drop it so the next request redials.
             self.close()
-            raise
+            raise _wire_error(exc) from None
         return protocol.decode_reply(payload)
 
     def _read_exact(self, n: int) -> bytes:
@@ -219,12 +363,7 @@ class PulseClient:
         chunks: List[bytes] = []
         remaining = n
         while remaining:
-            try:
-                chunk = self._sock.recv(remaining)
-            except socket.timeout:
-                raise ProtocolError(
-                    f"timed out waiting for {remaining} of {n} reply bytes"
-                ) from None
+            chunk = self._sock.recv(remaining)
             if not chunk:
                 raise ProtocolError(
                     f"server closed the connection mid-frame "
@@ -234,135 +373,41 @@ class PulseClient:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    # -- the client API ----------------------------------------------------------
-
-    def fetch(self, gate: str, qubits: Sequence[int]) -> Waveform:
-        """One decoded pulse over the wire."""
-        return self.fetch_batch([(gate, qubits)])[0]
-
-    def fetch_batch(self, requests: Sequence[_Request]) -> List[Waveform]:
-        """A batch of decoded pulses, in request order.
-
-        Raises :class:`~repro.errors.ServerOverloadedError` when the
-        server sheds the request (after ``retries`` backed-off
-        attempts), :class:`~repro.errors.StoreError` on server-side
-        errors (e.g. unknown keys).
-        """
-        return self._fetch(requests, protocol.MODE_SAMPLES)
-
-    def fetch_records(self, requests: Sequence[_Request]) -> List[bytes]:
-        """Raw ``CQW1`` record bytes per key (no decode on either side)."""
-        return self._fetch(requests, protocol.MODE_RECORD)
-
-    def _fetch(self, requests: Sequence[_Request], mode: int) -> List:
-        keys = _normalize(requests)
-        sp = None
-        if self.tracer is not None:
-            sp = self.tracer.start_trace(
-                "client.fetch", keys=len(keys), mode=mode
-            )
-        trace = None if sp is None else (sp.trace_id, sp.span_id)
-        frame = protocol.encode_fetch(keys, mode, trace=trace)
-        attempt = 0
-        try:
-            while True:
+    def _run(self, exchange: _Exchange) -> Any:
+        resume, value = exchange.send, None
+        while True:
+            try:
+                step = resume(value)
+            except StopIteration as done:
+                return done.value
+            if isinstance(step, bytes):
                 try:
-                    return _decode_fetch_reply(
-                        self._roundtrip(frame), keys, mode
-                    )
-                except ServerOverloadedError:
-                    if attempt >= self.retries:
-                        raise
-                    delay = _retry_delay(self._rng, self.backoff, attempt)
-                    attempt += 1
-                    self.retries_performed += 1
-                    time.sleep(delay)
-        finally:
-            if sp is not None:
-                sp.tags["retries"] = attempt
-                sp.finish()
-
-    def ping(self) -> float:
-        """Round-trip a PING; returns the latency in seconds."""
-        start = time.perf_counter()
-        _check_reply(self._roundtrip(protocol.encode_ping()), protocol.MSG_PING)
-        return time.perf_counter() - start
-
-    def stats(self) -> Dict:
-        """The server's counter snapshot (see ``NetServerStats.as_dict``)."""
-        reply = _check_reply(
-            self._roundtrip(protocol.encode_stats()), protocol.MSG_STATS
-        )
-        try:
-            return json.loads(reply.items[0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"stats reply is not JSON: {exc}") from None
-
-    def keys(self) -> List[_Key]:
-        """The remote store's full pulse-key inventory."""
-        reply = _check_reply(
-            self._roundtrip(protocol.encode_keys()), protocol.MSG_KEYS
-        )
-        return list(reply.keys)
-
-    def metrics(self) -> Dict:
-        """The server's merged metrics-registry snapshot.
-
-        Shape: ``{"counters": ..., "gauges": ..., "histograms": ...}``
-        (see :meth:`repro.obs.MetricsRegistry.snapshot`), aggregated
-        across the network tier, serving layer, cache, and the
-        process-wide default registry.
-        """
-        reply = _check_reply(
-            self._roundtrip(protocol.encode_metrics()), protocol.MSG_METRICS
-        )
-        try:
-            return json.loads(reply.items[0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"metrics reply is not JSON: {exc}") from None
-
-    def traces(self, limit: int = 16) -> List[Dict]:
-        """Up to ``limit`` recent completed traces, newest last."""
-        reply = _check_reply(
-            self._roundtrip(protocol.encode_traces(limit)), protocol.MSG_TRACES
-        )
-        try:
-            return json.loads(reply.items[0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"traces reply is not JSON: {exc}") from None
+                    resume, value = exchange.send, self._roundtrip(step)
+                except ReproError as exc:
+                    resume, value = exchange.throw, exc
+            else:
+                time.sleep(step)
+                resume, value = exchange.send, None
 
 
-class AsyncPulseClient:
-    """Asyncio ``CQN1`` client; the coroutine twin of :class:`PulseClient`.
+class AsyncPulseClient(_ClientCore):
+    """Asyncio ``CQN1`` client; its request methods return awaitables.
 
-    One instance drives one connection and serializes its requests with
+    It takes :class:`PulseClient`'s arguments and has its request
+    methods, each returning an awaitable of the same result.  One
+    instance drives one connection and serializes its requests with
     an internal lock, so it is safe to share across tasks -- concurrent
     callers simply queue client-side.  For true request concurrency
     (and to exercise the server's admission control), open several
     clients.
     """
 
-    def __init__(
-        self,
-        address: Union[str, Tuple[str, int]],
-        port: Optional[int] = None,
-        timeout: float = 30.0,
-        retries: int = 0,
-        backoff: float = 0.05,
-        seed: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        _validate_retry(retries, backoff)
-        self.address = parse_address(address, port)
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.retries_performed = 0
-        self.tracer = tracer
-        self._rng = random.Random(seed)
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._lock = asyncio.Lock()
+    _reader: Optional[asyncio.StreamReader] = None
+    _writer: Optional[asyncio.StreamWriter] = None
+
+    @functools.cached_property
+    def _lock(self) -> asyncio.Lock:
+        return asyncio.Lock()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -395,7 +440,7 @@ class AsyncPulseClient:
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
 
-    # -- wire I/O --------------------------------------------------------------
+    # -- transport -------------------------------------------------------------
 
     async def _roundtrip(self, request_frame: bytes) -> protocol.Reply:
         async with self._lock:
@@ -411,97 +456,23 @@ class AsyncPulseClient:
                 payload = await asyncio.wait_for(
                     self._reader.readexactly(length), timeout=self.timeout
                 )
-            except (
-                OSError,
-                ProtocolError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ) as exc:
+            except _WIRE_ERRORS as exc:
                 await self.aclose()
-                if isinstance(exc, (ProtocolError, OSError)):
-                    raise
-                if isinstance(exc, asyncio.IncompleteReadError):
-                    raise ProtocolError(
-                        "server closed the connection mid-frame"
-                    ) from None
-                raise ProtocolError("timed out waiting for the reply") from None
+                raise _wire_error(exc) from None
             return protocol.decode_reply(payload)
 
-    # -- the client API ----------------------------------------------------------
-
-    async def fetch(self, gate: str, qubits: Sequence[int]) -> Waveform:
-        return (await self.fetch_batch([(gate, qubits)]))[0]
-
-    async def fetch_batch(self, requests: Sequence[_Request]) -> List[Waveform]:
-        return await self._fetch(requests, protocol.MODE_SAMPLES)
-
-    async def fetch_records(self, requests: Sequence[_Request]) -> List[bytes]:
-        return await self._fetch(requests, protocol.MODE_RECORD)
-
-    async def _fetch(self, requests: Sequence[_Request], mode: int) -> List:
-        keys = _normalize(requests)
-        sp = None
-        if self.tracer is not None:
-            sp = self.tracer.start_trace(
-                "client.fetch", keys=len(keys), mode=mode
-            )
-        trace = None if sp is None else (sp.trace_id, sp.span_id)
-        frame = protocol.encode_fetch(keys, mode, trace=trace)
-        attempt = 0
-        try:
-            while True:
+    async def _run(self, exchange: _Exchange) -> Any:
+        resume, value = exchange.send, None
+        while True:
+            try:
+                step = resume(value)
+            except StopIteration as done:
+                return done.value
+            if isinstance(step, bytes):
                 try:
-                    return _decode_fetch_reply(
-                        await self._roundtrip(frame), keys, mode
-                    )
-                except ServerOverloadedError:
-                    if attempt >= self.retries:
-                        raise
-                    delay = _retry_delay(self._rng, self.backoff, attempt)
-                    attempt += 1
-                    self.retries_performed += 1
-                    await asyncio.sleep(delay)
-        finally:
-            if sp is not None:
-                sp.tags["retries"] = attempt
-                sp.finish()
-
-    async def ping(self) -> float:
-        start = time.perf_counter()
-        _check_reply(await self._roundtrip(protocol.encode_ping()), protocol.MSG_PING)
-        return time.perf_counter() - start
-
-    async def stats(self) -> Dict:
-        reply = _check_reply(
-            await self._roundtrip(protocol.encode_stats()), protocol.MSG_STATS
-        )
-        try:
-            return json.loads(reply.items[0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"stats reply is not JSON: {exc}") from None
-
-    async def keys(self) -> List[_Key]:
-        reply = _check_reply(
-            await self._roundtrip(protocol.encode_keys()), protocol.MSG_KEYS
-        )
-        return list(reply.keys)
-
-    async def metrics(self) -> Dict:
-        reply = _check_reply(
-            await self._roundtrip(protocol.encode_metrics()),
-            protocol.MSG_METRICS,
-        )
-        try:
-            return json.loads(reply.items[0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"metrics reply is not JSON: {exc}") from None
-
-    async def traces(self, limit: int = 16) -> List[Dict]:
-        reply = _check_reply(
-            await self._roundtrip(protocol.encode_traces(limit)),
-            protocol.MSG_TRACES,
-        )
-        try:
-            return json.loads(reply.items[0].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"traces reply is not JSON: {exc}") from None
+                    resume, value = exchange.send, await self._roundtrip(step)
+                except ReproError as exc:
+                    resume, value = exchange.throw, exc
+            else:
+                await asyncio.sleep(step)
+                resume, value = exchange.send, None

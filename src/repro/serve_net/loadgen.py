@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError, ServerOverloadedError, StoreError
-from repro.obs import Histogram, Tracer, exact_quantile
+from repro.obs import Tracer, exact_quantile
 from repro.serve_net.client import AsyncPulseClient, PulseClient, parse_address
 from repro.serve_net.protocol import MODE_RECORD, MODE_SAMPLES
 from repro.store.trace import arrival_times
@@ -83,10 +83,6 @@ class LoadReport:
     max_outstanding: int = 0
     peak_outstanding: int = 0
     retries: int = 0
-    #: Optional full latency histogram (``Histogram.snapshot()`` shape,
-    #: seconds) -- present when the generator ran with
-    #: ``collect_histogram=True``, absent from ``as_dict`` otherwise.
-    histogram: Optional[Dict] = None
 
     @property
     def requests_per_s(self) -> float:
@@ -101,7 +97,7 @@ class LoadReport:
         return latency_summary(self.latencies_s)
 
     def as_dict(self) -> Dict:
-        out = {
+        return {
             "mode": self.mode,
             "connections": self.connections,
             "batch_size": self.batch_size,
@@ -120,9 +116,6 @@ class LoadReport:
             "peak_outstanding": self.peak_outstanding,
             "retries": self.retries,
         }
-        if self.histogram is not None:
-            out["histogram"] = dict(self.histogram)
-        return out
 
 
 def _batches(
@@ -164,7 +157,6 @@ def run_closed_loop(
     backoff: float = 0.05,
     seed: int = 0,
     tracer: Optional[Tracer] = None,
-    collect_histogram: bool = False,
 ) -> LoadReport:
     """Drive the server as hard as N serial connections can.
 
@@ -175,9 +167,9 @@ def run_closed_loop(
     client (seeded per connection, so runs reproduce); the report's
     ``retries`` totals what the clients spent.  A ``tracer`` is shared
     by every client (sampled fetches propagate trace context to the
-    server); ``collect_histogram=True`` additionally folds each latency
-    into a log-bucketed :class:`~repro.obs.Histogram` carried on the
-    report.
+    server).  A failed fetch -- overload or any other typed error,
+    including a dropped connection -- is counted and the worker moves
+    on to its next batch.
     """
     if connections < 1:
         raise StoreError(f"connections must be >= 1, got {connections}")
@@ -187,7 +179,6 @@ def run_closed_loop(
     lanes: List[List[List]] = [batches[i::connections] for i in range(connections)]
     lock = threading.Lock()
     latencies: List[float] = []
-    histogram = Histogram("loadgen.latency_seconds") if collect_histogram else None
     counters = {"ok": 0, "overload": 0, "error": 0, "pulses": 0, "retries": 0}
 
     def _worker(index: int, lane: List[List]) -> None:
@@ -215,8 +206,6 @@ def run_closed_loop(
                         counters["error"] += 1
                     continue
                 elapsed = time.perf_counter() - start
-                if histogram is not None:
-                    histogram.observe(elapsed)
                 with lock:
                     counters["ok"] += 1
                     counters["pulses"] += len(batch)
@@ -249,7 +238,6 @@ def run_closed_loop(
         elapsed_s=wall_elapsed,
         latencies_s=tuple(latencies),
         retries=counters["retries"],
-        histogram=histogram.snapshot() if histogram is not None else None,
     )
 
 
@@ -266,24 +254,25 @@ def run_open_loop(
     connections: int = 8,
     max_outstanding: int = 64,
     seed: int = 0,
-    process: str = "poisson",
     mode: Union[int, str] = MODE_SAMPLES,
     timeout: float = 30.0,
     retries: int = 0,
     backoff: float = 0.05,
-    tracer: Optional[Tracer] = None,
-    collect_histogram: bool = False,
 ) -> LoadReport:
     """Fire batches on an arrival schedule, regardless of completions.
 
     ``rate`` is the target arrival rate in *requests* (batch frames)
     per second.  Arrivals finding ``max_outstanding`` requests already
     in flight are shed client-side (``skipped``) -- the generator's own
-    no-unbounded-queue rule.  By default overload replies from the
-    server are counted, not retried; ``retries > 0`` turns on the
-    clients' seeded backoff-and-retry and the report's ``retries``
-    totals what that cost (a retrying request still counts against
-    ``max_outstanding`` the whole time, so the bound holds).
+    no-unbounded-queue rule.  Arrivals are dealt round-robin over
+    ``connections`` :class:`~repro.serve_net.client.AsyncPulseClient`
+    instances on one event loop.  By default overload replies from the
+    server are counted, not retried, and any other typed failure
+    (including a dropped connection) counts in ``errors``;
+    ``retries > 0`` turns on the clients' seeded backoff-and-retry and
+    the report's ``retries`` totals what that cost (a retrying request
+    still counts against ``max_outstanding`` the whole time, so the
+    bound holds).
     """
     if connections < 1:
         raise StoreError(f"connections must be >= 1, got {connections}")
@@ -292,7 +281,7 @@ def run_open_loop(
     host_port = parse_address(address)
     fetch_mode = _resolve_mode(mode)
     batches = _batches(trace, batch_size)
-    schedule = arrival_times(len(batches), rate, seed=seed, process=process)
+    schedule = arrival_times(len(batches), rate, seed=seed)
 
     counters = {
         "ok": 0,
@@ -305,7 +294,6 @@ def run_open_loop(
         "retries": 0,
     }
     latencies: List[float] = []
-    histogram = Histogram("loadgen.latency_seconds") if collect_histogram else None
 
     async def _fire(
         client: AsyncPulseClient, batch: List, scheduled_at: float, start: float
@@ -324,10 +312,7 @@ def run_open_loop(
             counters["pulses"] += len(batch)
             # Open-loop latency runs from the scheduled arrival, so
             # queueing delay under overdrive is part of the number.
-            elapsed = time.perf_counter() - (start + scheduled_at)
-            latencies.append(elapsed)
-            if histogram is not None:
-                histogram.observe(elapsed)
+            latencies.append(time.perf_counter() - (start + scheduled_at))
         finally:
             counters["outstanding"] -= 1
 
@@ -339,7 +324,6 @@ def run_open_loop(
                 retries=retries,
                 backoff=backoff,
                 seed=seed + index,
-                tracer=tracer,
             )
             for index in range(connections)
         ]
@@ -392,5 +376,4 @@ def run_open_loop(
         max_outstanding=max_outstanding,
         peak_outstanding=counters["peak"],
         retries=counters["retries"],
-        histogram=histogram.snapshot() if histogram is not None else None,
     )

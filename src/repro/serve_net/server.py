@@ -3,7 +3,7 @@
 :class:`NetPulseServer` is the network half of the serving tier: it
 owns a listening socket, speaks the length-prefixed protocol of
 :mod:`repro.serve_net.protocol`, and forwards pulse fetches to a
-thread-safe :class:`~repro.store.PulseServer`.  Three policies make it
+thread-safe :class:`~repro.store.PulseServer`.  Two policies make it
 a serving tier rather than a socket wrapper:
 
 * **Bounded admission control.**  At most ``max_inflight`` fetch
@@ -13,18 +13,16 @@ a serving tier rather than a socket wrapper:
   never grows an unbounded queue, and clients see backpressure they
   can act on.
 
-* **Request coalescing.**  Concurrent decoded-sample fetches for the
-  same pulse key share one fill: the first request owns an event-loop
-  future, later arrivals await it (counted in ``coalesced_keys``).
-  This sits *above* the store layer's per-shard single-flight -- the
-  store lock dedupes decode work between threads, the future dedupes
-  executor hops between connections -- so N clients hammering one cold
-  key cost one decode and one cache insertion.
-
 * **Graceful drain.**  :meth:`aclose` stops accepting connections,
   answers new fetches with overload, waits for in-flight requests to
   finish (bounded by ``drain_timeout``), then closes every connection
   and the fetch executor.
+
+A fetch is one executor hop into the serving layer plus the reply
+encode.  Concurrent fetches of the same cold pulse are deduplicated
+there, by :class:`~repro.store.PulseServer`'s per-shard single-flight:
+N clients hammering one cold key cost one decode and one cache
+insertion.
 
 Per-request errors (an unknown pulse key, a mode the store cannot
 serve) get a ``STATUS_ERROR`` reply and the connection stays usable;
@@ -42,7 +40,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ProtocolError, ReproError, StoreError
 from repro.obs import MetricsRegistry, Tracer, default_registry, merge_snapshots
@@ -51,8 +49,6 @@ from repro.serve_net import protocol
 from repro.store.server import PulseServer, ServerStats
 
 __all__ = ["NetServerStats", "NetPulseServer", "NetServerHandle", "serve_in_thread"]
-
-_Key = Tuple[str, Tuple[int, ...]]
 
 #: How long the server waits for the rest of a frame once its length
 #: prefix has arrived.  An idle connection may sit quietly forever; a
@@ -71,7 +67,6 @@ class NetServerStats:
     fetches_ok: int
     pulses_served: int
     overloads: int
-    coalesced_keys: int
     request_errors: int
     protocol_errors: int
     draining: bool
@@ -86,7 +81,6 @@ class NetServerStats:
             "fetches_ok": self.fetches_ok,
             "pulses_served": self.pulses_served,
             "overloads": self.overloads,
-            "coalesced_keys": self.coalesced_keys,
             "request_errors": self.request_errors,
             "protocol_errors": self.protocol_errors,
             "draining": self.draining,
@@ -156,7 +150,6 @@ class NetPulseServer:
         self._listener: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._connections: Set[asyncio.StreamWriter] = set()
-        self._inflight_keys: Dict[_Key, asyncio.Future] = {}
         self._active = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -177,7 +170,6 @@ class NetPulseServer:
         self._fetches_ok = self.metrics.counter("net.fetches_ok")
         self._pulses_served = self.metrics.counter("net.pulses_served")
         self._overloads = self.metrics.counter("net.overloads")
-        self._coalesced_keys = self.metrics.counter("net.coalesced_keys")
         self._request_errors = self.metrics.counter("net.request_errors")
         self._protocol_errors = self.metrics.counter("net.protocol_errors")
         self._inflight_gauge = self.metrics.gauge("net.inflight")
@@ -259,7 +251,6 @@ class NetPulseServer:
             fetches_ok=self._fetches_ok.value,
             pulses_served=self._pulses_served.value,
             overloads=self._overloads.value,
-            coalesced_keys=self._coalesced_keys.value,
             request_errors=self._request_errors.value,
             protocol_errors=self._protocol_errors.value,
             draining=self._draining,
@@ -434,82 +425,16 @@ class NetPulseServer:
             self._pulses_served.inc(len(blobs))
             return protocol.encode_reply_fetch(protocol.MODE_RECORD, blobs)
 
-        # Decoded-sample mode: coalesce concurrent fills per key on the
-        # event loop, then push the remainder through the thread-safe
-        # serving layer in one batch.
-        owned: List[_Key] = []
-        futures: Dict[_Key, asyncio.Future] = {}
-        for key in dict.fromkeys(request.keys):
-            future = self._inflight_keys.get(key)
-            if future is None:
-                future = loop.create_future()
-                self._inflight_keys[key] = future
-                owned.append(key)
-            else:
-                self._coalesced_keys.inc()
-            futures[key] = future
-        if owned:
-            try:
-                # copy_context(): executor threads do not inherit
-                # contextvars, and the admission span rides on one.
-                waveforms = await loop.run_in_executor(
-                    executor,
-                    contextvars.copy_context().run,
-                    self.serving.fetch_batch,
-                    owned,
-                )
-            except ReproError:
-                # One bad key must not poison coalesced waiters on the
-                # *valid* keys that happened to share this batch: fall
-                # back to per-key fills so every owned future carries
-                # its own outcome.  A request that asked for the bad
-                # key still sees its typed error through that key's
-                # future; a concurrent request coalesced onto a valid
-                # key is served normally.
-                for key in owned:
-                    future = self._inflight_keys.pop(key)
-                    try:
-                        waveform = await loop.run_in_executor(
-                            executor,
-                            contextvars.copy_context().run,
-                            self.serving.fetch,
-                            key[0],
-                            key[1],
-                        )
-                    except ReproError as per_key_exc:
-                        future.set_exception(per_key_exc)
-                    else:
-                        future.set_result(waveform)
-            except BaseException as exc:
-                # Non-library failure (executor torn down, interpreter
-                # shutdown): fan out and re-raise -- there is no
-                # per-key story to salvage.
-                for key in owned:
-                    future = self._inflight_keys.pop(key)
-                    future.set_exception(exc)
-                raise
-            else:
-                for key, waveform in zip(owned, waveforms):
-                    self._inflight_keys.pop(key).set_result(waveform)
-        # Settle every awaited future before raising so no "exception
-        # was never retrieved" future leaks when several keys fail at
-        # once; the first failure propagates (typed) afterwards.
-        outcomes = await asyncio.gather(
-            *futures.values(), return_exceptions=True
+        # Decoded-sample mode: one hop into the serving layer, whose
+        # per-shard single-flight dedupes concurrent fills.  copy_context():
+        # executor threads do not inherit the admission span's contextvar.
+        waveforms = await loop.run_in_executor(
+            executor,
+            contextvars.copy_context().run,
+            self.serving.fetch_batch,
+            request.keys,
         )
-        resolved = {}
-        first_error: Optional[BaseException] = None
-        for key, outcome in zip(futures, outcomes):
-            if isinstance(outcome, BaseException):
-                if first_error is None:
-                    first_error = outcome
-            else:
-                resolved[key] = outcome
-        if first_error is not None:
-            raise first_error
-        items = [
-            protocol.encode_samples_item(resolved[key]) for key in request.keys
-        ]
+        items = [protocol.encode_samples_item(waveform) for waveform in waveforms]
         self._pulses_served.inc(len(items))
         return protocol.encode_reply_fetch(protocol.MODE_SAMPLES, items)
 

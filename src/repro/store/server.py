@@ -14,7 +14,10 @@ does not have:
   lock: when N threads miss on the same (or co-sharded) pulses at the
   same moment, one of them decodes while the rest wait and then take
   the freshly cached result (counted in ``coalesced_fills``).  The
-  same window is never decoded twice concurrently.
+  same window is never decoded twice concurrently.  This is the only
+  place concurrent fetches are deduplicated: the network tier
+  (:class:`~repro.serve_net.NetPulseServer`) hands every fetch
+  straight to :meth:`PulseServer.fetch_batch` on an executor thread.
 
 * **Cross-shard parallel fills.**  :meth:`fetch_batch` groups its
   misses by shard and fans the per-shard fills out on a

@@ -125,39 +125,27 @@ def synthetic_trace(
     return [population[order[d]] for d in draws]
 
 
-def arrival_times(
-    n_requests: int,
-    rate: float,
-    seed: int = 0,
-    process: str = "poisson",
-) -> np.ndarray:
+def arrival_times(n_requests: int, rate: float, seed: int = 0) -> np.ndarray:
     """Open-loop request send times (seconds from start), sorted ascending.
 
     A closed-loop generator waits for each response before sending the
     next request, so it can never observe overload; an **open-loop**
     generator sends on a fixed schedule regardless of completions --
     the arrival process real traffic presents.  This returns that
-    schedule for the network load generator.
+    schedule for :func:`repro.serve_net.loadgen.run_open_loop`: a
+    Poisson process (exponential inter-arrivals -- bursty, memoryless,
+    the standard open-loop model), shifted so the first arrival is at 0.
 
     Args:
         n_requests: Number of arrivals (>= 1).
         rate: Mean arrival rate in requests/second (> 0).
-        seed: RNG seed (``poisson`` process only).
-        process: ``"poisson"`` (exponential inter-arrivals -- bursty,
-            memoryless, the standard open-loop model) or ``"uniform"``
-            (evenly spaced, a deterministic pacing schedule).
+        seed: RNG seed; the same seed gives the same schedule.
     """
     if n_requests < 1:
         raise StoreError(f"n_requests must be >= 1, got {n_requests}")
     if rate <= 0:
         raise StoreError(f"rate must be > 0, got {rate}")
-    if process == "uniform":
-        return np.arange(n_requests, dtype=float) / rate
-    if process == "poisson":
-        rng = np.random.default_rng(seed)
-        gaps = rng.exponential(scale=1.0 / rate, size=n_requests)
-        times = np.cumsum(gaps)
-        return times - times[0]
-    raise StoreError(
-        f"unknown arrival process {process!r} (expected 'poisson' or 'uniform')"
-    )
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(scale=1.0 / rate, size=n_requests)
+    times = np.cumsum(gaps)
+    return times - times[0]

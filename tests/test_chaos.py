@@ -234,7 +234,6 @@ class TestInvariantChecker:
             fetches_ok = 3
             request_errors = 1
             overloads = 0
-            coalesced_keys = 0
             protocol_errors = 0
 
         checker = InvariantChecker(reference)

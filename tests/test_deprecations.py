@@ -38,7 +38,6 @@ class TestStatsDictSurface:
             fetches_ok=1,
             pulses_served=4,
             overloads=0,
-            coalesced_keys=0,
             request_errors=0,
             protocol_errors=0,
             draining=False,
@@ -83,7 +82,6 @@ class TestStatsKeySetPins:
         "fetches_ok",
         "pulses_served",
         "overloads",
-        "coalesced_keys",
         "request_errors",
         "protocol_errors",
         "draining",
@@ -119,7 +117,6 @@ class TestStatsKeySetPins:
             fetches_ok=0,
             pulses_served=0,
             overloads=0,
-            coalesced_keys=0,
             request_errors=0,
             protocol_errors=0,
             draining=False,

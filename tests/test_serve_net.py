@@ -5,33 +5,41 @@ bit-identical to the in-process serving layer (and, through it, to the
 scalar decode path), per-request errors keep the connection usable,
 admission control sheds load with explicit overload replies, N clients
 hammering one cold key cost exactly one cache insertion, malformed
-frames close the connection cleanly without hanging the server, and a
-drained server refuses new work.
+frames close the connection cleanly without hanging the server, a
+drained server refuses new work, and both clients surface every failure
+as a typed error.  Client tests run on both transports: each class
+names its ``transport``, and an ``...Async`` subclass reruns it on
+:class:`AsyncPulseClient`.
 """
 
 import asyncio
+import contextlib
 import random
 import socket
 import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ProtocolError, ServerOverloadedError, StoreError
 from repro.compression.pipeline import decompress_waveform
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
+from repro.obs import Tracer
 from repro.serve_net import (
     AsyncPulseClient,
     NetPulseServer,
     PulseClient,
     parse_address,
     protocol,
+    run_closed_loop,
+    run_open_loop,
     serve_in_thread,
 )
 from repro.serve_net.client import _retry_delay
-from repro.store import PulseServer, save_store
+from repro.store import PulseServer, arrival_times, save_store, synthetic_trace
 
 
 @pytest.fixture(scope="module")
@@ -75,65 +83,141 @@ def handle(serving):
         yield running
 
 
+class _Blocking:
+    """An :class:`AsyncPulseClient` whose request methods block.
+
+    Each request runs to completion on a private event loop, so one
+    test body drives both transports.  Every other attribute -- the
+    ``tracer``, ``retries_performed``, a replaced ``_roundtrip`` --
+    reads and writes through to the wrapped client.
+    """
+
+    REQUESTS = frozenset(
+        ("fetch", "fetch_batch", "fetch_records", "ping", "stats", "keys",
+         "metrics", "traces")
+    )
+
+    def __init__(self, client):
+        vars(self).update(client=client, loop=asyncio.new_event_loop())
+
+    def __getattr__(self, name):
+        attr = getattr(self.client, name)
+        if name not in self.REQUESTS:
+            return attr
+        return lambda *args, **kwargs: self.loop.run_until_complete(
+            attr(*args, **kwargs)
+        )
+
+    def __setattr__(self, name, value):
+        setattr(self.client, name, value)
+
+    def close(self):
+        self.loop.run_until_complete(self.client.aclose())
+        self.loop.close()
+
+
+@pytest.fixture()
+def transport(request):
+    """The test class's transport; parametrize ``transport`` to override."""
+    return request.cls.transport
+
+
+@pytest.fixture()
+def open_client(transport):
+    """Opens clients on ``transport``; closes them after the test."""
+    opened = []
+
+    def _open(*args, **kwargs):
+        if transport == "sync":
+            client = PulseClient(*args, **kwargs)
+        else:
+            client = _Blocking(AsyncPulseClient(*args, **kwargs))
+        opened.append(client)
+        return client
+
+    yield _open
+    for client in opened:
+        client.close()
+
+
 class TestWireIdentity:
-    def test_fetch_batch_is_bit_identical(self, handle, store, serving, reference):
+    transport = "sync"
+
+    def test_fetch_batch_is_bit_identical(
+        self, handle, store, serving, reference, open_client
+    ):
         keys = store.keys()
-        with PulseClient(*handle.address) as client:
-            served = client.fetch_batch(keys)
+        served = open_client(*handle.address).fetch_batch(keys)
         for key, waveform in zip(keys, served):
             assert waveform.samples.tobytes() == reference[key], key
             local = serving.fetch(*key)
             assert waveform.name == local.name
             assert waveform.dt == local.dt
 
-    def test_fetch_records_match_store_bytes(self, handle, store):
+    def test_fetch_records_match_store_bytes(self, handle, store, open_client):
         keys = store.keys()[:5]
-        with PulseClient(*handle.address) as client:
-            blobs = client.fetch_records(keys)
+        blobs = open_client(*handle.address).fetch_records(keys)
         for key, blob in zip(keys, blobs):
             assert blob == store.read_record_bytes(*key), key
 
-    def test_single_fetch(self, handle, store, reference):
+    def test_single_fetch(self, handle, store, reference, open_client):
         key = store.keys()[0]
-        with PulseClient(*handle.address) as client:
-            waveform = client.fetch(*key)
+        waveform = open_client(*handle.address).fetch(*key)
         assert waveform.samples.tobytes() == reference[key]
 
-    def test_async_client_is_bit_identical(self, handle, store, reference):
-        keys = store.keys()[:4]
 
-        async def _run():
-            async with AsyncPulseClient(*handle.address) as client:
-                batch = await client.fetch_batch(keys)
-                latency = await client.ping()
-                remote_keys = await client.keys()
-                return batch, latency, remote_keys
-
-        batch, latency, remote_keys = asyncio.run(_run())
-        for key, waveform in zip(keys, batch):
-            assert waveform.samples.tobytes() == reference[key]
-        assert latency >= 0.0
-        assert set(remote_keys) == set(store.keys())
+class TestWireIdentityAsync(TestWireIdentity):
+    transport = "async"
 
 
 class TestControlRequests:
-    def test_ping_keys_stats(self, handle, store):
-        with PulseClient(*handle.address) as client:
-            assert client.ping() >= 0.0
-            assert set(client.keys()) == set(store.keys())
-            stats = client.stats()
+    transport = "sync"
+
+    def test_ping_keys_stats(self, handle, store, open_client):
+        client = open_client(*handle.address)
+        assert client.ping() >= 0.0
+        assert set(client.keys()) == set(store.keys())
+        stats = client.stats()
         for field in ("requests", "fetches", "overloads", "serving"):
             assert field in stats
         assert stats["serving"]["cache"]["capacity"] == 64
 
-    def test_unknown_key_keeps_connection_usable(self, handle, store, reference):
+    def test_unknown_key_keeps_connection_usable(
+        self, handle, store, reference, open_client
+    ):
         good = store.keys()[0]
-        with PulseClient(*handle.address) as client:
-            with pytest.raises(StoreError):
-                client.fetch("no-such-gate", (99,))
-            # Same connection, next request serves fine.
-            assert client.fetch(*good).samples.tobytes() == reference[good]
+        client = open_client(*handle.address)
+        with pytest.raises(StoreError):
+            client.fetch("no-such-gate", (99,))
+        # Same connection, next request serves fine.
+        assert client.fetch(*good).samples.tobytes() == reference[good]
         assert handle.stats().request_errors >= 1
+
+    def test_metrics(self, handle, store, open_client):
+        client = open_client(*handle.address)
+        client.fetch_batch(store.keys()[:3])
+        snapshot = client.metrics()
+        stats = handle.stats()
+        assert snapshot["counters"]["net.fetches_ok"] == stats.fetches_ok == 1
+        assert snapshot["counters"]["net.pulses_served"] == 3
+        assert "net.request_seconds" in snapshot["histograms"]
+
+    def test_tracer_assigned_after_construction_reaches_server(
+        self, handle, store, open_client
+    ):
+        """The benchmark harness turns tracing on by assigning ``tracer``."""
+        client = open_client(*handle.address)
+        client.fetch(*store.keys()[0])
+        tracer = Tracer(sample_rate=1.0)
+        client.tracer = tracer
+        client.fetch(*store.keys()[1])
+        (client_trace,) = tracer.recent()
+        served = {trace["trace_id"] for trace in client.traces(limit=8)}
+        assert client_trace["trace_id"] in served
+
+
+class TestControlRequestsAsync(TestControlRequests):
+    transport = "async"
 
 
 class TestCoalescing:
@@ -342,6 +426,44 @@ class TestParseAddress:
             parse_address(123, 9000)
 
 
+@contextlib.contextmanager
+def _reset_after_first_request():
+    """A raw peer that resets the first connection once it has read the
+    request (``SO_LINGER`` 0), then answers PING on the next one."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def read_exact(conn, n):
+        data = b""
+        while len(data) < n:
+            chunk = conn.recv(n - len(data))
+            assert chunk, "client hung up mid-request"
+            data += chunk
+        return data
+
+    def serve():
+        for attempt in range(2):
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10)
+                read_exact(conn, protocol.parse_frame_length(read_exact(conn, 4)))
+                if attempt == 0:
+                    conn.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                else:
+                    conn.sendall(protocol.encode_reply_ping())
+
+    peer = threading.Thread(target=serve, daemon=True)
+    peer.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        peer.join(timeout=10)
+        listener.close()
+    assert not peer.is_alive()
+
+
 class TestClientRobustness:
     def test_client_redials_after_protocol_error(self, handle, store, reference):
         key = store.keys()[0]
@@ -350,12 +472,20 @@ class TestClientRobustness:
             assert client.fetch(*key).samples.tobytes() == reference[key]
             # Sabotage the live socket so the next read sees a dead peer.
             client._sock.close()
-            with pytest.raises((ProtocolError, StoreError, OSError)):
+            with pytest.raises((ProtocolError, StoreError)):
                 client.fetch(*key)
             # The client dropped the broken connection; this redials.
             assert client.fetch(*key).samples.tobytes() == reference[key]
         finally:
             client.close()
+
+    @pytest.mark.parametrize("transport", ["sync", "async"])
+    def test_connection_reset_is_typed_and_redials(self, open_client):
+        with _reset_after_first_request() as address:
+            client = open_client(address)
+            with pytest.raises(ProtocolError, match="connection lost"):
+                client.ping()
+            assert client.ping() >= 0.0
 
 
 class _BlockingStore:
@@ -378,9 +508,10 @@ class _BlockingStore:
 class _KeyGateStore:
     """Test double: shard routing for one gate name parks until released."""
 
-    def __init__(self, store, gate_name, release):
+    def __init__(self, store, gate_name, parked, release):
         self._store = store
         self._gate_name = gate_name
+        self._parked = parked
         self._release = release
 
     def __getattr__(self, name):
@@ -388,61 +519,48 @@ class _KeyGateStore:
 
     def shard_of(self, gate, qubits):
         if gate == self._gate_name:
+            self._parked.set()
             assert self._release.wait(timeout=10), "gate never released"
         return self._store.shard_of(gate, qubits)
 
 
 class TestCoalescingFailureScope:
     def test_bad_key_does_not_poison_coalesced_valid_key(self, store, reference):
-        """A batch failing on one bad key must not fail a concurrent
-        request coalesced onto a *valid* key in the same batch.
+        """A request failing on one bad key must not fail a concurrent
+        request for a *valid* key the two share.
 
-        Regression: the batch's exception used to fan out to every
-        owned in-flight future, so the coalesced valid-only request
-        failed spuriously.
+        The mixed request parks in shard routing on the bad key; a
+        valid-only request on a second connection completes meanwhile,
+        and the mixed request then fails typed.
         """
         valid = store.keys()[0]
         bad = ("no-such-gate", (99,))
-        gate = threading.Event()
-        gated = _KeyGateStore(store, "no-such-gate", gate)
+        parked, release = threading.Event(), threading.Event()
+        gated = _KeyGateStore(store, "no-such-gate", parked, release)
+        outcome = {}
+        with PulseServer(gated, cache_capacity=64) as serving:
+            with serve_in_thread(serving) as handle:
 
-        async def _run():
-            with PulseServer(gated, cache_capacity=64) as serving:
-                server = NetPulseServer(serving)
-                await server.start()
+                def mixed():
+                    with PulseClient(*handle.address) as client:
+                        try:
+                            client.fetch_batch([valid, bad])
+                        except StoreError as exc:
+                            outcome["error"] = exc
+
+                fetcher = threading.Thread(target=mixed)
+                fetcher.start()
                 try:
-                    mixed = protocol.FetchRequest(
-                        mode=protocol.MODE_SAMPLES, keys=(valid, bad)
-                    )
-                    valid_only = protocol.FetchRequest(
-                        mode=protocol.MODE_SAMPLES, keys=(valid,)
-                    )
-                    task_mixed = asyncio.create_task(server._serve_fetch(mixed))
-                    # The mixed batch is parked inside shard routing on
-                    # the executor; its event-loop futures exist now.
-                    while valid not in server._inflight_keys:
-                        await asyncio.sleep(0.001)
-                    task_valid = asyncio.create_task(
-                        server._serve_fetch(valid_only)
-                    )
-                    while server.stats().coalesced_keys < 1:
-                        await asyncio.sleep(0.001)
-                    gate.set()  # the batch now fails on the bad key
-
-                    reply = await task_valid  # must NOT be poisoned
-                    decoded = protocol.decode_reply(reply[4:])
-                    assert decoded.status == protocol.STATUS_OK
-                    waveform = protocol.decode_samples_item(
-                        decoded.items[0], *valid
-                    )
+                    assert parked.wait(timeout=10)
+                    with PulseClient(*handle.address) as client:
+                        waveform = client.fetch(*valid)
                     assert waveform.samples.tobytes() == reference[valid]
-
-                    with pytest.raises(StoreError, match="no pulse"):
-                        await task_mixed
+                    assert fetcher.is_alive()  # still parked on the bad key
                 finally:
-                    await server.aclose(drain_timeout=1.0)
-
-        asyncio.run(_run())
+                    release.set()
+                    fetcher.join(timeout=10)
+                assert not fetcher.is_alive()
+        assert "no pulse" in str(outcome["error"])
 
 
 class TestDrainRacesInflight:
@@ -540,63 +658,53 @@ class TestFrameTimeoutExpiry:
             NetPulseServer(serving, frame_timeout=0.0)
 
 
-class TestClientRetry:
+class _RetryOverTheWire:
+    """Retry tests that run on each transport (see ``transport``)."""
+
     def test_retry_recovers_from_transient_overload(
-        self, handle, store, reference
+        self, handle, store, reference, open_client
     ):
         keys = store.keys()
-        with PulseClient(
-            handle.address, retries=3, backoff=0.001, seed=7
-        ) as client:
-            real_roundtrip = client._roundtrip
-            sheds = [2]
+        client = open_client(handle.address, retries=3, backoff=0.001, seed=7)
+        real_roundtrip = client._roundtrip
+        sheds = [2]
 
-            def flaky_roundtrip(frame):
-                if sheds[0]:
-                    sheds[0] -= 1
-                    raise ServerOverloadedError("test shed")
-                return real_roundtrip(frame)
-
-            client._roundtrip = flaky_roundtrip
-            _assert_identical(reference, keys, client.fetch_batch(keys))
-            assert client.retries_performed == 2
-
-    def test_retries_exhausted_surfaces_overload(self, handle, store):
-        with PulseClient(
-            handle.address, retries=1, backoff=0.001, seed=7
-        ) as client:
-            def always_shed(frame):
+        def flaky_roundtrip(frame):
+            if sheds[0]:
+                sheds[0] -= 1
                 raise ServerOverloadedError("test shed")
+            return real_roundtrip(frame)
 
-            client._roundtrip = always_shed
-            with pytest.raises(ServerOverloadedError):
-                client.fetch_batch(store.keys())
-            assert client.retries_performed == 1
+        client._roundtrip = flaky_roundtrip
+        _assert_identical(reference, keys, client.fetch_batch(keys))
+        assert client.retries_performed == 2
 
-    def test_async_client_retries(self, handle, store, reference):
-        import asyncio
+    def test_retries_exhausted_surfaces_overload(self, handle, store, open_client):
+        client = open_client(handle.address, retries=1, backoff=0.001, seed=7)
 
-        keys = store.keys()
+        def always_shed(frame):
+            raise ServerOverloadedError("test shed")
 
-        async def _run():
-            async with AsyncPulseClient(
-                handle.address, retries=2, backoff=0.001, seed=7
-            ) as client:
-                real_roundtrip = client._roundtrip
-                sheds = [1]
+        client._roundtrip = always_shed
+        with pytest.raises(ServerOverloadedError):
+            client.fetch_batch(store.keys())
+        assert client.retries_performed == 1
 
-                async def flaky_roundtrip(frame):
-                    if sheds[0]:
-                        sheds[0] -= 1
-                        raise ServerOverloadedError("test shed")
-                    return await real_roundtrip(frame)
+    def test_default_is_raise_immediately(self, handle, store, open_client):
+        client = open_client(handle.address)
+        assert (client.retries, client.retries_performed) == (0, 0)
 
-                client._roundtrip = flaky_roundtrip
-                served = await client.fetch_batch(keys)
-                assert client.retries_performed == 1
-                return served
+        def always_shed(frame):
+            raise ServerOverloadedError("test shed")
 
-        _assert_identical(reference, keys, asyncio.run(_run()))
+        client._roundtrip = always_shed
+        with pytest.raises(ServerOverloadedError):
+            client.fetch(*store.keys()[0])
+        assert client.retries_performed == 0
+
+
+class TestClientRetry(_RetryOverTheWire):
+    transport = "sync"
 
     def test_retry_delay_is_seeded_exponential_with_jitter(self):
         rng = random.Random(0)
@@ -614,14 +722,44 @@ class TestClientRetry:
         with pytest.raises(StoreError):
             AsyncPulseClient(("127.0.0.1", 1), backoff=-0.1)
 
-    def test_default_is_raise_immediately(self, handle, store):
-        with PulseClient(handle.address) as client:
-            assert (client.retries, client.retries_performed) == (0, 0)
 
-            def always_shed(frame):
-                raise ServerOverloadedError("test shed")
+class TestClientRetryAsync(_RetryOverTheWire):
+    transport = "async"
 
-            client._roundtrip = always_shed
-            with pytest.raises(ServerOverloadedError):
-                client.fetch(*store.keys()[0])
-            assert client.retries_performed == 0
+
+class TestLoadgen:
+    def test_closed_loop_serves_every_pulse(self, handle, store):
+        trace = synthetic_trace(store.keys(), 200, seed=0)
+        report = run_closed_loop(handle.address, trace, batch_size=16, connections=2)
+        assert report.requests_ok == report.requests_sent
+        assert report.errors == 0
+        assert report.pulses_ok == len(trace)
+
+    def test_open_loop_accounts_for_every_request(self, handle, store):
+        trace = synthetic_trace(store.keys(), 128, seed=1)
+        report = run_open_loop(
+            handle.address, trace, rate=200.0, batch_size=8, connections=2,
+            max_outstanding=4,
+        )
+        assert report.requests_ok + report.overloads + report.errors == (
+            report.requests_sent
+        )
+        assert report.requests_ok > 0 and report.errors == 0
+        assert report.peak_outstanding <= report.max_outstanding
+
+    def test_arrival_times_start_at_zero_and_never_decrease(self):
+        schedule = arrival_times(64, rate=500.0, seed=3)
+        assert len(schedule) == 64
+        assert schedule[0] == 0.0
+        assert np.all(np.diff(schedule) >= 0.0)
+
+    def test_arrival_times_are_seeded(self):
+        assert np.array_equal(
+            arrival_times(32, rate=100.0, seed=5), arrival_times(32, rate=100.0, seed=5)
+        )
+
+    def test_arrival_times_validate_arguments(self):
+        with pytest.raises(StoreError, match="n_requests"):
+            arrival_times(0, rate=10.0)
+        with pytest.raises(StoreError, match="rate"):
+            arrival_times(4, rate=0.0)
