@@ -24,8 +24,10 @@ class Waveform:
 
     Attributes:
         name: Human-readable identifier, e.g. ``"x_q3"`` or ``"cx_q1_q4"``.
-        samples: Complex envelope, |samples| <= 1 (I = real, Q = imag).
-        dt: Sample period in seconds (1 / DAC sampling rate).
+        samples: Complex envelope, |samples| <= 1 (I = real, Q = imag);
+            no sample may be NaN.
+        dt: Sample period in seconds (1 / DAC sampling rate); positive,
+            so not NaN.
         gate: Gate this waveform implements ("x", "sx", "cx", "measure",
             ...).
         qubits: Qubit indices the pulse acts on.
@@ -45,11 +47,14 @@ class Waveform:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError(f"waveform needs 1-D non-empty samples, got {samples.shape}")
-        if self.dt <= 0:
+        # Both checks are written so that NaN fails them.
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        peak = float(np.max(np.abs(samples)))
-        if peak > 1.0 + 1e-9:
-            raise ValueError(f"waveform amplitude {peak:.4f} exceeds 1.0")
+        peak = np.abs(samples).max()
+        if not peak <= 1.0 + 1e-9:
+            raise ValueError(
+                f"waveform amplitude must be <= 1.0 and not NaN, got {peak:.4f}"
+            )
 
     # -- basic geometry ----------------------------------------------------
 

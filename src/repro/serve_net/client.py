@@ -126,7 +126,7 @@ def _decode_fetch_reply(
             f"reply carries {len(reply.items)} items for {len(keys)} keys"
         )
     if mode == protocol.MODE_RECORD:
-        return list(reply.items)
+        return [bytes(item) for item in reply.items]
     return [
         protocol.decode_samples_item(item, gate, qubits)
         for item, (gate, qubits) in zip(reply.items, keys)
@@ -290,8 +290,9 @@ class PulseClient(_ClientCore):
         address: ``("host", port)``, ``"host:port"``, or a host string
             combined with the ``port`` argument.
         port: Port when ``address`` is a bare host name.
-        timeout: Socket timeout in seconds for connect and each
-            request/response round trip.
+        timeout: Seconds allowed for connecting, and for each
+            request/response round trip as a whole (one deadline from
+            the send to the last byte of the reply).
         retries: How many times a fetch shed with ``STATUS_OVERLOAD``
             is retried before :class:`~repro.errors.ServerOverloadedError`
             surfaces.  0 (the default) preserves raise-immediately.
@@ -347,10 +348,13 @@ class PulseClient(_ClientCore):
     def _roundtrip(self, request_frame: bytes) -> protocol.Reply:
         self.connect()
         assert self._sock is not None
+        deadline = time.monotonic() + self.timeout
         try:
+            self._sock.settimeout(self.timeout)
             self._sock.sendall(request_frame)
-            length = protocol.parse_frame_length(self._read_exact(4))
-            payload = self._read_exact(length)
+            header = self._recv_exact(bytearray(4), deadline)
+            length = protocol.parse_frame_length(header)
+            payload = self._recv_exact(bytearray(length), deadline)
         except _WIRE_ERRORS as exc:
             # The connection state is unknown after any I/O or framing
             # failure; drop it so the next request redials.
@@ -358,20 +362,25 @@ class PulseClient(_ClientCore):
             raise _wire_error(exc) from None
         return protocol.decode_reply(payload)
 
-    def _read_exact(self, n: int) -> bytes:
-        assert self._sock is not None
-        chunks: List[bytes] = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
+    def _recv_exact(self, buf: bytearray, deadline: float) -> bytearray:
+        """Fill ``buf`` from the socket with ``recv_into``, before ``deadline``."""
+        sock = self._sock
+        assert sock is not None
+        view = memoryview(buf)
+        n, got = len(buf), 0
+        while got < n:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("round trip deadline passed")
+            sock.settimeout(left)
+            count = sock.recv_into(view[got:])
+            if not count:
                 raise ProtocolError(
                     f"server closed the connection mid-frame "
-                    f"({n - remaining} of {n} bytes read)"
+                    f"({got} of {n} bytes read)"
                 )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            got += count
+        return buf
 
     def _run(self, exchange: _Exchange) -> Any:
         resume, value = exchange.send, None
@@ -445,21 +454,22 @@ class AsyncPulseClient(_ClientCore):
     async def _roundtrip(self, request_frame: bytes) -> protocol.Reply:
         async with self._lock:
             await self.connect()
-            assert self._reader is not None and self._writer is not None
             try:
-                self._writer.write(request_frame)
-                await self._writer.drain()
-                header = await asyncio.wait_for(
-                    self._reader.readexactly(4), timeout=self.timeout
-                )
-                length = protocol.parse_frame_length(header)
+                # One deadline for the whole round trip.
                 payload = await asyncio.wait_for(
-                    self._reader.readexactly(length), timeout=self.timeout
+                    self._exchange(request_frame), timeout=self.timeout
                 )
             except _WIRE_ERRORS as exc:
                 await self.aclose()
                 raise _wire_error(exc) from None
             return protocol.decode_reply(payload)
+
+    async def _exchange(self, request_frame: bytes) -> bytes:
+        assert self._reader is not None and self._writer is not None
+        self._writer.write(request_frame)
+        await self._writer.drain()
+        length = protocol.parse_frame_length(await self._reader.readexactly(4))
+        return await self._reader.readexactly(length)
 
     async def _run(self, exchange: _Exchange) -> Any:
         resume, value = exchange.send, None

@@ -61,13 +61,19 @@ raises :class:`~repro.errors.ProtocolError` on truncation, trailing
 bytes, out-of-range counts, unknown types or statuses, and length
 prefixes beyond the frame bound.  Nothing in this module touches a
 socket; the server and clients share these pure encoders/decoders.
+
+Key batches and fetch replies are walked in one pass with precompiled
+structs (``unpack_from`` at a running offset).  :func:`decode_reply`
+slices fetch items as memoryviews of the payload, so a reply's
+samples are copied once, by :func:`decode_samples_item`; encoders join
+their parts behind the length prefix in one copy (:func:`frame`).
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -177,7 +183,10 @@ _Key = Tuple[str, Tuple[int, ...]]
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
+#: A samples item's ``f64 dt + u32 n-samples``, after its name.
+_DT_COUNT = struct.Struct("<dI")
+#: ``u8 qubit-count + u16 qubit...`` per qubit count, compiled on first use.
+_QUBIT_STRUCTS: Dict[int, struct.Struct] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,26 +242,34 @@ class Reply:
     status: int
     echo_type: int = 0
     mode: int = MODE_SAMPLES
-    items: Tuple[bytes, ...] = ()
+    #: Fetch items are memoryviews of the reply payload (no copy); the
+    #: STATS / METRICS / TRACES blob is ``bytes``.
+    items: Tuple[Union[bytes, memoryview], ...] = ()
     keys: Tuple[_Key, ...] = ()
     message: str = ""
 
 
+def _truncated(want: int, pos: int, end: int) -> ProtocolError:
+    return ProtocolError(
+        f"truncated payload: wanted {want} bytes at offset {pos}, have {end - pos}"
+    )
+
+
 class _Cursor:
-    """A bounds-checked reader over one payload's bytes."""
+    """A bounds-checked reader over one payload's bytes.
+
+    Over a memoryview, :meth:`take` slices without copying.
+    """
 
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: Union[bytes, memoryview]) -> None:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> Union[bytes, memoryview]:
         if n < 0 or self.pos + n > len(self.data):
-            raise ProtocolError(
-                f"truncated payload: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
+            raise _truncated(n, self.pos, len(self.data))
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -269,9 +286,6 @@ class _Cursor:
     def u64(self) -> int:
         return _U64.unpack(self.take(8))[0]
 
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
     def finish(self) -> None:
         if self.pos != len(self.data):
             raise ProtocolError(
@@ -284,16 +298,21 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 
 
-def frame(payload: bytes) -> bytes:
-    """Wrap a payload in its u32 length prefix."""
-    if not payload:
+def frame(*parts: Union[bytes, bytearray, memoryview]) -> bytes:
+    """Join ``parts`` into one payload behind its u32 length prefix.
+
+    The prefix is written in the same join as the payload, so the
+    payload bytes are copied once.
+    """
+    length = sum(map(len, parts))
+    if not length:
         raise ProtocolError("cannot frame an empty payload")
-    if len(payload) > MAX_FRAME_BYTES:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"payload of {len(payload)} bytes exceeds the "
+            f"payload of {length} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte frame bound"
         )
-    return _U32.pack(len(payload)) + payload
+    return b"".join((_U32.pack(length), *parts))
 
 
 def parse_frame_length(header: bytes, max_frame: int = MAX_FRAME_BYTES) -> int:
@@ -315,34 +334,18 @@ def parse_frame_length(header: bytes, max_frame: int = MAX_FRAME_BYTES) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _encode_key(gate: str, qubits: Sequence[int]) -> bytes:
-    gate_bytes = gate.encode("utf-8")
-    if not gate_bytes or len(gate_bytes) > 0xFFFF:
-        raise ProtocolError(f"gate name {gate!r} does not fit the wire key")
-    qubits = tuple(int(q) for q in qubits)
-    if len(qubits) > 0xFF:
-        raise ProtocolError(f"{len(qubits)} qubits exceed the u8 key bound")
-    if any(not 0 <= q <= 0xFFFF for q in qubits):
-        raise ProtocolError(f"qubit indices {qubits} do not fit u16")
-    parts = [_U16.pack(len(gate_bytes)), gate_bytes, bytes([len(qubits)])]
-    parts.extend(_U16.pack(q) for q in qubits)
-    return b"".join(parts)
+def _qubit_struct(n_qubits: int) -> struct.Struct:
+    compiled = _QUBIT_STRUCTS.get(n_qubits)
+    if compiled is None:
+        compiled = _QUBIT_STRUCTS.setdefault(
+            n_qubits, struct.Struct(f"<B{n_qubits}H")
+        )
+    return compiled
 
 
-def _decode_key(cursor: _Cursor) -> _Key:
-    gate_len = cursor.u16()
-    if gate_len == 0:
-        raise ProtocolError("wire key has an empty gate name")
-    try:
-        gate = cursor.take(gate_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"wire key gate is not utf-8: {exc}") from None
-    n_qubits = cursor.u8()
-    qubits = tuple(cursor.u16() for _ in range(n_qubits))
-    return (gate, qubits)
-
-
-def _encode_key_batch(keys: Sequence[Tuple[str, Sequence[int]]]) -> bytes:
+def _encode_key_batch(keys: Sequence[Tuple[str, Sequence[int]]]) -> List[bytes]:
+    """A key batch as the parts :func:`frame` joins: the u16 count, then
+    per key its gate length, gate bytes and one qubit-struct pack."""
     if not keys:
         raise ProtocolError("a key batch must name at least one pulse")
     if len(keys) > MAX_KEYS_PER_REQUEST:
@@ -350,11 +353,27 @@ def _encode_key_batch(keys: Sequence[Tuple[str, Sequence[int]]]) -> bytes:
             f"{len(keys)} keys exceed the {MAX_KEYS_PER_REQUEST}-key bound"
         )
     parts = [_U16.pack(len(keys))]
-    parts.extend(_encode_key(gate, qubits) for gate, qubits in keys)
-    return b"".join(parts)
+    append = parts.append
+    for gate, qubits in keys:
+        gate_bytes = gate.encode("utf-8")
+        if not gate_bytes or len(gate_bytes) > 0xFFFF:
+            raise ProtocolError(f"gate name {gate!r} does not fit the wire key")
+        qubits = tuple(map(int, qubits))
+        n_qubits = len(qubits)
+        if n_qubits > 0xFF:
+            raise ProtocolError(f"{n_qubits} qubits exceed the u8 key bound")
+        try:
+            tail = _qubit_struct(n_qubits).pack(n_qubits, *qubits)
+        except struct.error:
+            raise ProtocolError(f"qubit indices {qubits} do not fit u16") from None
+        append(_U16.pack(len(gate_bytes)))
+        append(gate_bytes)
+        append(tail)
+    return parts
 
 
 def _decode_key_batch(cursor: _Cursor) -> Tuple[_Key, ...]:
+    """Walk a key batch from the cursor's offset with ``unpack_from``."""
     n_keys = cursor.u16()
     if n_keys == 0:
         raise ProtocolError("a key batch must name at least one pulse")
@@ -362,7 +381,35 @@ def _decode_key_batch(cursor: _Cursor) -> Tuple[_Key, ...]:
         raise ProtocolError(
             f"{n_keys} keys exceed the {MAX_KEYS_PER_REQUEST}-key bound"
         )
-    return tuple(_decode_key(cursor) for _ in range(n_keys))
+    data, pos, end = cursor.data, cursor.pos, len(cursor.data)
+    keys = []
+    append = keys.append
+    for _ in range(n_keys):
+        if pos + 2 > end:
+            raise _truncated(2, pos, end)
+        (gate_len,) = _U16.unpack_from(data, pos)
+        if gate_len == 0:
+            raise ProtocolError("wire key has an empty gate name")
+        pos += 2
+        stop = pos + gate_len
+        if stop >= end:  # the gate bytes and the qubit-count byte
+            raise _truncated(gate_len + 1, pos, end)
+        try:
+            gate = str(data[pos:stop], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"wire key gate is not utf-8: {exc}") from None
+        n_qubits = data[stop]
+        pos = stop + 1
+        if n_qubits:
+            if pos + 2 * n_qubits > end:
+                raise _truncated(2 * n_qubits, pos, end)
+            qubits = _qubit_struct(n_qubits).unpack_from(data, stop)[1:]
+            pos += 2 * n_qubits
+        else:
+            qubits = ()
+        append((gate, qubits))
+    cursor.pos = pos
+    return tuple(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +431,17 @@ def encode_fetch(
     if mode not in (MODE_RECORD, MODE_SAMPLES):
         raise ProtocolError(f"unknown fetch mode {mode}")
     if trace is None:
-        return frame(bytes([MSG_FETCH, mode]) + _encode_key_batch(keys))
+        return frame(bytes([MSG_FETCH, mode]), *_encode_key_batch(keys))
     trace_id, parent_span_id = trace
     if not 0 < trace_id <= 0xFFFFFFFFFFFFFFFF:
         raise ProtocolError(f"trace id {trace_id} does not fit a non-zero u64")
     if not 0 <= parent_span_id <= 0xFFFFFFFFFFFFFFFF:
         raise ProtocolError(f"parent span id {parent_span_id} does not fit u64")
     return frame(
-        bytes([MSG_FETCH_TRACED, OBS_EXT_VERSION, mode])
-        + _U64.pack(trace_id)
-        + _U64.pack(parent_span_id)
-        + _encode_key_batch(keys)
+        bytes([MSG_FETCH_TRACED, OBS_EXT_VERSION, mode]),
+        _U64.pack(trace_id),
+        _U64.pack(parent_span_id),
+        *_encode_key_batch(keys),
     )
 
 
@@ -421,7 +468,7 @@ def encode_traces(limit: int = 16) -> bytes:
         raise ProtocolError(
             f"traces limit must be in [1, {MAX_TRACES_PER_REQUEST}], got {limit}"
         )
-    return frame(bytes([MSG_TRACES, OBS_EXT_VERSION]) + _U16.pack(limit))
+    return frame(bytes([MSG_TRACES, OBS_EXT_VERSION]), _U16.pack(limit))
 
 
 Request = Union[
@@ -490,14 +537,18 @@ def decode_request(payload: bytes) -> Request:
 
 
 def encode_reply_fetch(mode: int, items: Sequence[bytes]) -> bytes:
-    """Encode an OK fetch reply carrying one payload blob per key."""
+    """Encode an OK fetch reply carrying one payload blob per key.
+
+    The items are joined once, behind the frame's length prefix.
+    """
     if mode not in (MODE_RECORD, MODE_SAMPLES):
         raise ProtocolError(f"unknown fetch mode {mode}")
     parts = [bytes([MSG_REPLY, STATUS_OK, MSG_FETCH, mode]), _U32.pack(len(items))]
+    append = parts.append
     for item in items:
-        parts.append(_U32.pack(len(item)))
-        parts.append(item)
-    return frame(b"".join(parts))
+        append(_U32.pack(len(item)))
+        append(item)
+    return frame(*parts)
 
 
 def encode_reply_ping() -> bytes:
@@ -506,31 +557,29 @@ def encode_reply_ping() -> bytes:
 
 def encode_reply_stats(stats_json: bytes) -> bytes:
     return frame(
-        bytes([MSG_REPLY, STATUS_OK, MSG_STATS])
-        + _U32.pack(len(stats_json))
-        + stats_json
+        bytes([MSG_REPLY, STATUS_OK, MSG_STATS]), _U32.pack(len(stats_json)), stats_json
     )
 
 
 def encode_reply_keys(keys: Sequence[Tuple[str, Sequence[int]]]) -> bytes:
-    return frame(bytes([MSG_REPLY, STATUS_OK, MSG_KEYS]) + _encode_key_batch(keys))
+    return frame(bytes([MSG_REPLY, STATUS_OK, MSG_KEYS]), *_encode_key_batch(keys))
 
 
 def encode_reply_metrics(metrics_json: bytes) -> bytes:
     """OK reply to METRICS: one length-prefixed JSON blob (STATS shape)."""
     return frame(
-        bytes([MSG_REPLY, STATUS_OK, MSG_METRICS])
-        + _U32.pack(len(metrics_json))
-        + metrics_json
+        bytes([MSG_REPLY, STATUS_OK, MSG_METRICS]),
+        _U32.pack(len(metrics_json)),
+        metrics_json,
     )
 
 
 def encode_reply_traces(traces_json: bytes) -> bytes:
     """OK reply to TRACES: one length-prefixed JSON blob (STATS shape)."""
     return frame(
-        bytes([MSG_REPLY, STATUS_OK, MSG_TRACES])
-        + _U32.pack(len(traces_json))
-        + traces_json
+        bytes([MSG_REPLY, STATUS_OK, MSG_TRACES]),
+        _U32.pack(len(traces_json)),
+        traces_json,
     )
 
 
@@ -541,12 +590,16 @@ def encode_reply_overload() -> bytes:
 
 def encode_reply_error(message: str) -> bytes:
     data = message.encode("utf-8")[:0xFFFF]
-    return frame(bytes([MSG_REPLY, STATUS_ERROR]) + _U16.pack(len(data)) + data)
+    return frame(bytes([MSG_REPLY, STATUS_ERROR]), _U16.pack(len(data)), data)
 
 
-def decode_reply(payload: bytes) -> Reply:
-    """Decode one reply payload (total: malformed bytes raise)."""
-    cursor = _Cursor(payload)
+def decode_reply(payload: Union[bytes, bytearray, memoryview]) -> Reply:
+    """Decode one reply payload (total: malformed bytes raise).
+
+    Fetch items come back as memoryviews of ``payload``: nothing is
+    copied until a consumer copies it.
+    """
+    cursor = _Cursor(memoryview(payload))
     msg_type = cursor.u8()
     if msg_type != MSG_REPLY:
         raise ProtocolError(f"expected a reply frame, got type 0x{msg_type:02x}")
@@ -557,7 +610,7 @@ def decode_reply(payload: bytes) -> Reply:
     if status == STATUS_ERROR:
         length = cursor.u16()
         try:
-            message = cursor.take(length).decode("utf-8")
+            message = str(cursor.take(length), "utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"error reply is not utf-8: {exc}") from None
         cursor.finish()
@@ -575,11 +628,26 @@ def decode_reply(payload: bytes) -> Reply:
                 f"{n_items} reply items exceed the "
                 f"{MAX_KEYS_PER_REQUEST}-key bound"
             )
-        items = tuple(cursor.take(cursor.u32()) for _ in range(n_items))
+        data, pos, end = cursor.data, cursor.pos, len(cursor.data)
+        items = []
+        append = items.append
+        for _ in range(n_items):
+            if pos + 4 > end:
+                raise _truncated(4, pos, end)
+            (length,) = _U32.unpack_from(data, pos)
+            pos += 4
+            stop = pos + length
+            if stop > end:
+                raise _truncated(length, pos, end)
+            append(data[pos:stop])
+            pos = stop
+        cursor.pos = pos
         cursor.finish()
-        return Reply(status=STATUS_OK, echo_type=MSG_FETCH, mode=mode, items=items)
+        return Reply(
+            status=STATUS_OK, echo_type=MSG_FETCH, mode=mode, items=tuple(items)
+        )
     if echo_type in (MSG_STATS, MSG_METRICS, MSG_TRACES):
-        blob = cursor.take(cursor.u32())
+        blob = bytes(cursor.take(cursor.u32()))
         cursor.finish()
         return Reply(status=STATUS_OK, echo_type=echo_type, items=(blob,))
     if echo_type == MSG_KEYS:
@@ -602,7 +670,8 @@ def encode_samples_item(waveform: Waveform) -> bytes:
 
     The complex128 sample bytes go over the wire verbatim, so the
     client-side reconstruction is bit-identical to the server's decoded
-    waveform -- no re-quantization anywhere on the path.
+    waveform -- no re-quantization anywhere on the path.  The join reads
+    the sample buffer in place: one copy.
     """
     name_bytes = waveform.name.encode("utf-8")
     if len(name_bytes) > 0xFFFF:
@@ -612,28 +681,42 @@ def encode_samples_item(waveform: Waveform) -> bytes:
         (
             _U16.pack(len(name_bytes)),
             name_bytes,
-            _F64.pack(float(waveform.dt)),
-            _U32.pack(samples.size),
-            samples.tobytes(),
+            _DT_COUNT.pack(float(waveform.dt), samples.size),
+            memoryview(samples).cast("B"),
         )
     )
 
 
 def decode_samples_item(
-    item: bytes, gate: str, qubits: Tuple[int, ...]
+    item: Union[bytes, memoryview], gate: str, qubits: Tuple[int, ...]
 ) -> Waveform:
-    """Rebuild a decoded waveform from its fetch-reply item bytes."""
-    cursor = _Cursor(item)
-    name_len = cursor.u16()
+    """Rebuild a decoded waveform from its fetch-reply item bytes.
+
+    The samples are copied once, out of ``item``, and the result is
+    built through :class:`Waveform`, so every constructor check runs on
+    bytes that came from outside the process.
+    """
+    end = len(item)
+    if end < 2:
+        raise _truncated(2, 0, end)
+    (name_len,) = _U16.unpack_from(item, 0)
+    start = 2 + name_len
+    if start + _DT_COUNT.size > end:
+        raise _truncated(name_len + _DT_COUNT.size, 2, end)
+    dt, n_samples = _DT_COUNT.unpack_from(item, start)
+    start += _DT_COUNT.size
+    stop = start + 16 * n_samples
+    if stop > end:
+        raise _truncated(16 * n_samples, start, end)
+    if stop < end:
+        raise ProtocolError(f"{end - stop} trailing bytes after payload")
     try:
-        name = cursor.take(name_len).decode("utf-8")
+        name = str(item[2 : 2 + name_len], "utf-8")
     except UnicodeDecodeError as exc:
         raise ProtocolError(f"waveform name is not utf-8: {exc}") from None
-    dt = cursor.f64()
-    n_samples = cursor.u32()
-    raw = cursor.take(n_samples * 16)
-    cursor.finish()
-    samples = np.frombuffer(raw, dtype=np.complex128).copy()
+    samples = np.frombuffer(
+        item, dtype=np.complex128, count=n_samples, offset=start
+    ).copy()
     try:
         return Waveform(
             name=name, samples=samples, dt=dt, gate=gate, qubits=qubits

@@ -370,6 +370,28 @@ class TestSamplesItem:
         with pytest.raises(ProtocolError):
             protocol.decode_samples_item(item + b"\x00", "sx", (0,))
 
+    def test_nan_dt_raises(self):
+        item = bytearray(protocol.encode_samples_item(self._waveform(n=8)))
+        dt_at = 2 + len("sx_q0")
+        item[dt_at : dt_at + 8] = struct.pack("<d", float("nan"))
+        with pytest.raises(ProtocolError):
+            protocol.decode_samples_item(bytes(item), "sx", (0,))
+
+    def test_nan_sample_raises(self):
+        item = bytearray(protocol.encode_samples_item(self._waveform(n=8)))
+        first_sample = 2 + len("sx_q0") + 12
+        item[first_sample : first_sample + 8] = struct.pack("<d", float("nan"))
+        with pytest.raises(ProtocolError):
+            protocol.decode_samples_item(bytes(item), "sx", (0,))
+
+    def test_memoryview_item_decodes_to_an_owned_copy(self):
+        waveform = self._waveform()
+        payload = bytearray(protocol.encode_samples_item(waveform))
+        out = protocol.decode_samples_item(memoryview(payload), "sx", (0,))
+        payload[-16:] = bytes(16)  # the receive buffer is reused or freed
+        assert out.samples.tobytes() == waveform.samples.tobytes()
+        assert not out.samples.flags.writeable
+
 
 class TestRandomFuzz:
     """Seeded random-byte fuzz: only ProtocolError may escape."""
@@ -411,3 +433,280 @@ class TestRandomFuzz:
         length = protocol.parse_frame_length(framed[:4])
         request = protocol.decode_request(framed[4 : 4 + length])
         assert request.keys == tuple(KEYS)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the per-key / per-cursor-call codecs the struct-walked
+# ones replaced, kept here verbatim so the fast codecs are checked against
+# them byte for byte.
+# ---------------------------------------------------------------------------
+
+
+class _OracleCursor:
+    """A bounds-checked reader over one payload's bytes."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n):
+        if n < 0 or self.pos + n > len(self.data):
+            raise ProtocolError(
+                f"truncated payload: wanted {n} bytes at offset {self.pos}, "
+                f"have {len(self.data) - self.pos}"
+            )
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def u8(self):
+        return self.take(1)[0]
+
+    def u16(self):
+        return struct.unpack("<H", self.take(2))[0]
+
+    def u32(self):
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self):
+        return struct.unpack("<Q", self.take(8))[0]
+
+    def f64(self):
+        return struct.unpack("<d", self.take(8))[0]
+
+    def finish(self):
+        if self.pos != len(self.data):
+            raise ProtocolError(
+                f"{len(self.data) - self.pos} trailing bytes after payload"
+            )
+
+
+def _encode_key(gate, qubits):
+    gate_bytes = gate.encode("utf-8")
+    if not gate_bytes or len(gate_bytes) > 0xFFFF:
+        raise ProtocolError(f"gate name {gate!r} does not fit the wire key")
+    qubits = tuple(int(q) for q in qubits)
+    if len(qubits) > 0xFF:
+        raise ProtocolError(f"{len(qubits)} qubits exceed the u8 key bound")
+    if any(not 0 <= q <= 0xFFFF for q in qubits):
+        raise ProtocolError(f"qubit indices {qubits} do not fit u16")
+    parts = [struct.pack("<H", len(gate_bytes)), gate_bytes, bytes([len(qubits)])]
+    parts.extend(struct.pack("<H", q) for q in qubits)
+    return b"".join(parts)
+
+
+def _decode_key(cursor):
+    gate_len = cursor.u16()
+    if gate_len == 0:
+        raise ProtocolError("wire key has an empty gate name")
+    try:
+        gate = cursor.take(gate_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"wire key gate is not utf-8: {exc}") from None
+    n_qubits = cursor.u8()
+    qubits = tuple(cursor.u16() for _ in range(n_qubits))
+    return (gate, qubits)
+
+
+def _oracle_decode_samples_item(item, gate, qubits):
+    cursor = _OracleCursor(item)
+    name_len = cursor.u16()
+    try:
+        name = cursor.take(name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"waveform name is not utf-8: {exc}") from None
+    dt = cursor.f64()
+    n_samples = cursor.u32()
+    raw = cursor.take(n_samples * 16)
+    cursor.finish()
+    samples = np.frombuffer(raw, dtype=np.complex128).copy()
+    try:
+        return Waveform(name=name, samples=samples, dt=dt, gate=gate, qubits=qubits)
+    except Exception as exc:
+        raise ProtocolError(f"reply samples are not a valid waveform: {exc}") from None
+
+
+def _oracle_key_batch(keys):
+    if not keys or len(keys) > protocol.MAX_KEYS_PER_REQUEST:
+        raise ProtocolError("key batch size out of bounds")
+    return struct.pack("<H", len(keys)) + b"".join(_encode_key(g, q) for g, q in keys)
+
+
+def _oracle_decode_request(payload):
+    """The fetch branch built on the oracle key codec; the other request
+    types take the unchanged cursor path of ``decode_request``."""
+    cursor = _OracleCursor(payload)
+    msg_type = cursor.u8()
+    if msg_type not in (protocol.MSG_FETCH, protocol.MSG_FETCH_TRACED):
+        return protocol.decode_request(payload)
+    trace_id, parent_span_id = None, 0
+    if msg_type == protocol.MSG_FETCH_TRACED:
+        if cursor.u8() != protocol.OBS_EXT_VERSION:
+            raise ProtocolError("wrong extension version")
+        mode = cursor.u8()
+        trace_id = cursor.u64()
+        if trace_id == 0:
+            raise ProtocolError("zero trace id")
+        parent_span_id = cursor.u64()
+    else:
+        mode = cursor.u8()
+    if mode not in (protocol.MODE_RECORD, protocol.MODE_SAMPLES):
+        raise ProtocolError(f"unknown fetch mode {mode}")
+    n_keys = cursor.u16()
+    if not 0 < n_keys <= protocol.MAX_KEYS_PER_REQUEST:
+        raise ProtocolError(f"{n_keys} keys out of bounds")
+    keys = tuple(_decode_key(cursor) for _ in range(n_keys))
+    cursor.finish()
+    return protocol.FetchRequest(
+        mode=mode, keys=keys, trace_id=trace_id, parent_span_id=parent_span_id
+    )
+
+
+def _outcome(decode, *args):
+    """A decoder's result, or ``ProtocolError`` (any other error escapes)."""
+    try:
+        return decode(*args)
+    except ProtocolError:
+        return ProtocolError
+
+
+def _variants(payload):
+    """Every cut, one trailing byte, and every single-bit flip."""
+    for cut in range(len(payload)):
+        yield payload[:cut]
+    yield payload + b"\x00"
+    for pos in range(len(payload)):
+        for bit in range(8):
+            flipped = bytearray(payload)
+            flipped[pos] ^= 1 << bit
+            yield bytes(flipped)
+
+
+GATE_NAMES = ["x", "sx", "cx", "measure", "θ-rot", "ñ", "門", "🙂", "rz(π/2)", "g" * 300]
+
+
+def _key_corpus(rng, n_keys, max_qubits=255):
+    keys = []
+    for _ in range(n_keys):
+        n_qubits = rng.choice([0, 1, 2, max_qubits, rng.randrange(max_qubits + 1)])
+        qubits = tuple(
+            rng.choice([0, 65535, rng.randrange(65536)]) for _ in range(n_qubits)
+        )
+        keys.append((rng.choice(GATE_NAMES), qubits))
+    return keys
+
+
+class TestCodecsMatchOracles:
+    """The struct-walked codecs against the per-key / per-cursor-call
+    oracles above: same bytes out, same results or same ProtocolError."""
+
+    def _batches(self):
+        rng = random.Random(0x5EED)
+        return [
+            _key_corpus(rng, 1),
+            _key_corpus(rng, 1, max_qubits=0),
+            _key_corpus(rng, 7),
+            _key_corpus(rng, 40),
+            _key_corpus(rng, protocol.MAX_KEYS_PER_REQUEST, max_qubits=4),
+        ]
+
+    def test_key_encoder_matches_oracle(self):
+        for keys in self._batches():
+            batch = _oracle_key_batch(keys)
+            for mode in (protocol.MODE_RECORD, protocol.MODE_SAMPLES):
+                assert protocol.encode_fetch(keys, mode) == protocol.frame(
+                    bytes([protocol.MSG_FETCH, mode]) + batch
+                )
+            assert protocol.encode_fetch(keys, trace=(7, 9)) == protocol.frame(
+                bytes([protocol.MSG_FETCH_TRACED, protocol.OBS_EXT_VERSION, 1])
+                + struct.pack("<QQ", 7, 9)
+                + batch
+            )
+            assert protocol.encode_reply_keys(keys) == protocol.frame(
+                bytes([protocol.MSG_REPLY, protocol.STATUS_OK, protocol.MSG_KEYS])
+                + batch
+            )
+            request = protocol.decode_request(payload_of(protocol.encode_fetch(keys)))
+            assert request.keys == tuple(keys)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            ("", (0,)),
+            ("x" * 0xFFFF, (1,)),
+            ("x" * 0x10000, (1,)),
+            ("ü" * 0x8000, ()),
+            ("x", tuple(range(255))),
+            ("x", tuple(range(256))),
+            ("x", (-1,)),
+            ("x", (0x10000,)),
+            ("x", (0, 1 << 40)),
+            ("x", (np.int64(7), np.uint16(65535))),
+            ("x", (2.0, True)),
+        ],
+        ids=[
+            "empty-gate",
+            "65535-byte-gate",
+            "65536-byte-gate",
+            "65536-byte-unicode-gate",
+            "255-qubits",
+            "256-qubits",
+            "negative-qubit",
+            "qubit-65536",
+            "qubit-2**40",
+            "numpy-ints",
+            "float-and-bool",
+        ],
+    )
+    def test_invalid_keys_raise_like_oracle(self, key):
+        expected = _outcome(_encode_key, *key)
+        got = _outcome(protocol.encode_fetch, [key])
+        if expected is ProtocolError:
+            assert got is ProtocolError
+        else:
+            assert got == protocol.frame(
+                bytes([protocol.MSG_FETCH, protocol.MODE_SAMPLES])
+                + struct.pack("<H", 1)
+                + expected
+            )
+
+    def test_fetch_payload_decoder_matches_oracle(self):
+        rng = random.Random(0xF00D)
+        payloads = [
+            payload_of(protocol.encode_fetch(_key_corpus(rng, 1, max_qubits=3))),
+            payload_of(protocol.encode_fetch(KEYS + [("θ-rot", (0, 65535))])),
+            payload_of(
+                protocol.encode_fetch(
+                    [("門", ()), ("x", (65535,))], protocol.MODE_RECORD, trace=(3, 4)
+                )
+            ),
+        ]
+        for payload in payloads:
+            for variant in _variants(payload):
+                expected = _outcome(_oracle_decode_request, variant)
+                assert _outcome(protocol.decode_request, variant) == expected, variant
+
+    def test_samples_item_decoder_matches_oracle(self):
+        rng = np.random.default_rng(11)
+        for name, n in (("sx_q0", 8), ("θ_門", 1), ("", 3)):
+            samples = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.3
+            waveform = Waveform(name=name, samples=samples, dt=2.5e-10)
+            for variant in _variants(protocol.encode_samples_item(waveform)):
+                expected = _outcome(_oracle_decode_samples_item, variant, "sx", (0,))
+                got = _outcome(
+                    protocol.decode_samples_item,
+                    memoryview(bytearray(variant)),
+                    "sx",
+                    (0,),
+                )
+                if expected is ProtocolError:
+                    assert got is ProtocolError, variant
+                    continue
+                assert got is not ProtocolError, variant
+                assert (got.name, got.gate, got.qubits) == (
+                    expected.name,
+                    expected.gate,
+                    expected.qubits,
+                )
+                assert struct.pack("<d", got.dt) == struct.pack("<d", expected.dt)
+                assert got.samples.tobytes() == expected.samples.tobytes()

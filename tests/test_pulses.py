@@ -144,6 +144,20 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform("bad", np.array([0.1 + 0j]), dt=0.0)
 
+    @pytest.mark.parametrize(
+        "samples, dt",
+        [
+            ([0.1 + 0j], float("nan")),
+            ([complex("nan+0j"), 0.1 + 0j], 1e-9),
+            # NaN used to hide the out-of-range sample beside it.
+            ([float("nan"), 5.0], 1e-9),
+        ],
+        ids=["nan-dt", "nan-sample", "nan-hides-out-of-range"],
+    )
+    def test_nan_rejected(self, samples, dt):
+        with pytest.raises(ValueError):
+            Waveform("bad", np.array(samples, dtype=complex), dt=dt)
+
     def test_samples_read_only(self):
         wf = self._wf()
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ names its ``transport``, and an ``...Async`` subclass reruns it on
 
 import asyncio
 import contextlib
+import itertools
 import random
 import socket
 import struct
@@ -28,6 +29,7 @@ from repro.compression.pipeline import decompress_waveform
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
 from repro.obs import Tracer
+from repro.pulses.waveform import Waveform
 from repro.serve_net import (
     AsyncPulseClient,
     NetPulseServer,
@@ -426,42 +428,78 @@ class TestParseAddress:
             parse_address(123, 9000)
 
 
+def _read_exact(conn, n):
+    data = b""
+    while len(data) < n:
+        chunk = conn.recv(n - len(data))
+        assert chunk, "client hung up mid-request"
+        data += chunk
+    return data
+
+
 @contextlib.contextmanager
-def _reset_after_first_request():
-    """A raw peer that resets the first connection once it has read the
-    request (``SO_LINGER`` 0), then answers PING on the next one."""
+def _scripted_peer(*answers):
+    """A raw peer: its i-th connection reads one request frame, then
+    ``answers[i](conn)`` answers it.  Each connection runs on its own
+    thread, so a slow answer never delays the client's redial."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10)
 
-    def read_exact(conn, n):
-        data = b""
-        while len(data) < n:
-            chunk = conn.recv(n - len(data))
-            assert chunk, "client hung up mid-request"
-            data += chunk
-        return data
+    def handle(conn, answer):
+        with conn:
+            conn.settimeout(10)
+            _read_exact(conn, protocol.parse_frame_length(_read_exact(conn, 4)))
+            answer(conn)
+
+    handlers = []
 
     def serve():
-        for attempt in range(2):
+        for answer in answers:
             conn, _ = listener.accept()
-            with conn:
-                conn.settimeout(10)
-                read_exact(conn, protocol.parse_frame_length(read_exact(conn, 4)))
-                if attempt == 0:
-                    conn.setsockopt(
-                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-                    )
-                else:
-                    conn.sendall(protocol.encode_reply_ping())
+            peer = threading.Thread(target=handle, args=(conn, answer), daemon=True)
+            peer.start()
+            handlers.append(peer)
 
-    peer = threading.Thread(target=serve, daemon=True)
-    peer.start()
+    acceptor = threading.Thread(target=serve, daemon=True)
+    acceptor.start()
     try:
         yield listener.getsockname()[:2]
     finally:
-        peer.join(timeout=10)
+        acceptor.join(timeout=10)
+        for peer in handlers:
+            peer.join(timeout=10)
         listener.close()
-    assert not peer.is_alive()
+    assert not acceptor.is_alive()
+    assert not any(peer.is_alive() for peer in handlers)
+
+
+def _reset(conn):
+    """Reset the connection (``SO_LINGER`` 0) instead of answering."""
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+
+
+def _answer_ping(conn):
+    conn.sendall(protocol.encode_reply_ping())
+
+
+def _trickle(data, pieces, pause):
+    """An answer sending ``data`` in pieces of ``pieces`` bytes (cycled),
+    pausing between them; it stops once the client has hung up."""
+
+    def answer(conn):
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        pos = 0
+        for size in itertools.cycle(pieces):
+            if pos >= len(data):
+                return
+            try:
+                conn.sendall(data[pos : pos + size])
+            except OSError:
+                return
+            pos += size
+            time.sleep(pause)
+
+    return answer
 
 
 class TestClientRobustness:
@@ -481,11 +519,58 @@ class TestClientRobustness:
 
     @pytest.mark.parametrize("transport", ["sync", "async"])
     def test_connection_reset_is_typed_and_redials(self, open_client):
-        with _reset_after_first_request() as address:
+        with _scripted_peer(_reset, _answer_ping) as address:
             client = open_client(address)
             with pytest.raises(ProtocolError, match="connection lost"):
                 client.ping()
             assert client.ping() >= 0.0
+
+    @pytest.mark.parametrize("transport", ["sync", "async"])
+    def test_timeout_bounds_the_whole_round_trip(self, open_client):
+        # The reply is announced at once, then arrives a byte per 50 ms:
+        # every read makes progress, but the round trip may not outlast
+        # its one deadline.
+        announce_then_crawl = struct.pack("<I", 60) + bytes(60)
+        with _scripted_peer(
+            _trickle(announce_then_crawl, pieces=[4, 1], pause=0.05), _answer_ping
+        ) as address:
+            client = open_client(address, timeout=0.3)
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="timed out"):
+                client.ping()
+            assert time.monotonic() - started < 2 * 0.3
+            assert client.ping() >= 0.0  # redials
+
+    @pytest.mark.parametrize("transport", ["sync", "async"])
+    def test_reply_in_small_pieces_decodes_bit_identically(
+        self, store, reference, open_client
+    ):
+        keys = store.keys()[:3]
+        waveforms = [
+            Waveform(
+                name=f"w{i}",
+                samples=np.frombuffer(reference[key], dtype=np.complex128)[:8],
+                dt=2.5e-10 * (i + 1),
+            )
+            for i, key in enumerate(keys)
+        ]
+        reply = protocol.encode_reply_fetch(
+            protocol.MODE_SAMPLES, [protocol.encode_samples_item(w) for w in waveforms]
+        )
+        # 1-7 byte pieces; the first three split the 4-byte header (1+2+1).
+        pieces = [1, 2, 7, 3, 5, 1, 6, 4]
+        with _scripted_peer(_trickle(reply, pieces, pause=0.002)) as address:
+            served = open_client(address, timeout=10.0).fetch_batch(keys)
+        for key, sent, got in zip(keys, waveforms, served):
+            assert (got.name, got.dt, got.gate, got.qubits) == (
+                sent.name, sent.dt, key[0], key[1]
+            )
+            assert got.samples.tobytes() == sent.samples.tobytes()
+
+    @pytest.mark.parametrize("transport", ["sync", "async"])
+    def test_fetch_records_are_bytes(self, handle, store, open_client):
+        blobs = open_client(*handle.address).fetch_records(store.keys()[:2])
+        assert all(type(blob) is bytes for blob in blobs)
 
 
 class _BlockingStore:
