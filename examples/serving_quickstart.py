@@ -41,7 +41,7 @@ def main() -> None:
         # Serve a skewed request trace (what gate issue looks like:
         # a few hot calibrated pulses, a long cold tail).
         trace = synthetic_trace(store.keys(), n_requests=2000, seed=11)
-        with PulseServer(store, cache_capacity=24, max_workers=4) as server:
+        with PulseServer(store, cache_capacity=24) as server:
             start = time.perf_counter()
             for begin in range(0, len(trace), 32):
                 server.fetch_batch(trace[begin : begin + 32])

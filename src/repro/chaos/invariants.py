@@ -15,8 +15,9 @@ error.  It asserts the properties that must hold anyway:
   ``size <= capacity``, ``insertions - evictions == size`` (no
   ``clear()`` in the workload), all monotone.
 * **Single-flight insert-once.**  With capacity >= the key universe,
-  every key is decoded and inserted at most once: the store's
-  per-shard single-flight dedupes concurrent fills, including
+  every key is decoded and inserted at most once: each fill holds the
+  locks of every shard its keys live in (taken in ascending order), so
+  the per-shard single-flight dedupes concurrent fills, including
   concurrent network fetches of one cold key.
 * **Net accounting.**  After quiesce, every admitted fetch resolved
   exactly one way: ``fetches == fetches_ok + request_errors``

@@ -388,7 +388,7 @@ def _write_phase(
     requests = [0] * threads
     faults: Dict[str, int] = {kind: 0 for kind in WRITE_FAULT_KINDS}
 
-    server = PulseServer(open_store(rw_dir), cache_capacity=len(keys), max_workers=4)
+    server = PulseServer(open_store(rw_dir), cache_capacity=len(keys))
 
     def reader(worker_id: int) -> None:
         rng = random.Random((seed << 20) ^ worker_id)
@@ -669,9 +669,7 @@ def run_chaos(
             # Phase 1: threads on the in-process server.  Capacity covers
             # the whole catalog so the single-flight insert-once law is
             # checkable.
-            with PulseServer(
-                faulty, cache_capacity=len(keys), max_workers=4
-            ) as server:
+            with PulseServer(faulty, cache_capacity=len(keys)) as server:
                 requests_threaded = _threaded_phase(
                     server, keys, checker, seed, threads, ops_per_thread,
                     batch_size,
@@ -683,9 +681,7 @@ def run_chaos(
             # Phase 2: the same faulty store behind a real socket.
             requests_net, net_stats = 0, {}
             if net_clients:
-                with PulseServer(
-                    faulty, cache_capacity=len(keys), max_workers=4
-                ) as net_serving:
+                with PulseServer(faulty, cache_capacity=len(keys)) as net_serving:
                     requests_net, net_stats = _net_phase(
                         net_serving, keys, checker, seed, net_clients,
                         max(1, ops_per_thread // 2), batch_size,
@@ -696,9 +692,7 @@ def run_chaos(
             # serve bit-identically.
             recovery_reads = 0
             with faulty.calm():
-                with PulseServer(
-                    faulty, cache_capacity=len(keys), max_workers=4
-                ) as recovery_server:
+                with PulseServer(faulty, cache_capacity=len(keys)) as recovery_server:
                     for key in keys:
                         try:
                             waveform = recovery_server.fetch(*key)

@@ -201,9 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size", type=int, default=64, help="decoded LRU capacity (pulses)"
     )
     serve.add_argument(
-        "--workers", type=int, default=4, help="threads for cross-shard fills"
-    )
-    serve.add_argument(
         "--batch-size", type=int, default=32, help="fetch_batch request size"
     )
     serve.add_argument(
@@ -228,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_net.add_argument("--host", default="127.0.0.1")
     serve_net.add_argument(
         "--port", type=int, default=0, help="listen port (0 = OS-assigned)"
-    )
-    serve_net.add_argument(
-        "--fill-threads",
-        type=int,
-        default=4,
-        help="threads for the store's cross-shard parallel fills",
     )
     serve_net.add_argument(
         "--cache-size",
@@ -838,9 +829,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace = synthetic_trace(store.keys(), args.synthetic, seed=args.seed)
         source = f"synthetic (seed {args.seed})"
 
-    with PulseServer(
-        store, cache_capacity=args.cache_size, max_workers=args.workers
-    ) as server:
+    with PulseServer(store, cache_capacity=args.cache_size) as server:
         prewarmed = server.cache.prewarm() if args.prewarm else 0
         start = time.perf_counter()
         for begin in range(0, len(trace), args.batch_size):
@@ -903,11 +892,7 @@ def _cmd_serve_net(args: argparse.Namespace) -> int:
     cache_size = args.cache_size or len(store.keys())
 
     async def _run() -> None:
-        with PulseServer(
-            store,
-            cache_capacity=cache_size,
-            max_workers=args.fill_threads,
-        ) as serving:
+        with PulseServer(store, cache_capacity=cache_size) as serving:
             if args.prewarm:
                 serving.cache.prewarm()
             server = NetPulseServer(

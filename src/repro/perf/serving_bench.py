@@ -6,7 +6,7 @@ cares about -- sustained pulses/second at the serving interface -- and
 how it moves with the two knobs the store exposes:
 
 * **cache size** (decoded hot set, as a fraction of the library), and
-* **shard count** (fetch granularity / fill parallelism).
+* **shard count** (fetch granularity / single-flight granularity).
 
 For every device it compiles the library once, writes a store
 (generation 1) per shard count, and replays the same Zipf-skewed
@@ -314,9 +314,7 @@ def _run_mixed_rw(
     mismatches = [0]
     refreshes = [0]
 
-    with PulseServer(
-        open_store(rw_dir), cache_capacity=len(keys), max_workers=4
-    ) as server:
+    with PulseServer(open_store(rw_dir), cache_capacity=len(keys)) as server:
 
         def reader(worker_id: int) -> None:
             local = random.Random((seed << 10) ^ worker_id)
@@ -404,7 +402,6 @@ def run_serving_bench(
     seed: int = 7,
     window_size: int = 16,
     variant: str = "int-DCT-W",
-    max_workers: int = 4,
     mixed_commits: int = 4,
 ) -> Dict:
     """Run the serving benchmark; returns the JSON-serializable payload.
@@ -475,9 +472,7 @@ def run_serving_bench(
                     cold_samples = []
                     for _ in range(max(1, repeats)):
                         with PulseServer(
-                            store,
-                            cache_capacity=cache_size,
-                            max_workers=max_workers,
+                            store, cache_capacity=cache_size
                         ) as cold_server:
                             start = time.perf_counter()
                             _serve_trace(cold_server, trace, batch_size)
@@ -486,9 +481,7 @@ def run_serving_bench(
 
                     # Warm: one server, cache populated by a first
                     # pass, then timed replays.
-                    with PulseServer(
-                        store, cache_capacity=cache_size, max_workers=max_workers
-                    ) as server:
+                    with PulseServer(store, cache_capacity=cache_size) as server:
                         _serve_trace(server, trace, batch_size)
                         before = server.stats()
                         warm_stats, _ = time_callable(
@@ -573,7 +566,6 @@ def run_serving_bench(
             "seed": seed,
             "window_size": window_size,
             "variant": variant,
-            "max_workers": max_workers,
             "mixed_commits": mixed_commits,
         },
         "entries": entries,

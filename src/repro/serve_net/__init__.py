@@ -15,7 +15,8 @@ under load:
   front end over :class:`~repro.store.PulseServer` with bounded
   admission control (explicit overload responses, no unbounded
   queueing) and graceful drain-on-shutdown.  A fetch is one executor
-  hop into the store layer, whose per-shard single-flight dedupes
+  hop into the store layer, which decodes the fetch's misses in one
+  fused fill on that thread; its per-shard single-flight dedupes
   concurrent cold fetches.
 - :mod:`repro.serve_net.client` -- :class:`PulseClient` (blocking
   sockets) and :class:`AsyncPulseClient` (asyncio), two thin transports

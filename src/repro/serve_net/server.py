@@ -19,10 +19,11 @@ a serving tier rather than a socket wrapper:
   and the fetch executor.
 
 A fetch is one executor hop into the serving layer plus the reply
-encode.  Concurrent fetches of the same cold pulse are deduplicated
-there, by :class:`~repro.store.PulseServer`'s per-shard single-flight:
-N clients hammering one cold key cost one decode and one cache
-insertion.
+encode.  The fetch's misses are decoded on that executor thread, in
+one fused fill.  Concurrent fetches of the same cold pulse are
+deduplicated there, by :class:`~repro.store.PulseServer`'s per-shard
+single-flight: N clients hammering one cold key cost one decode and
+one cache insertion.
 
 Per-request errors (an unknown pulse key, a mode the store cannot
 serve) get a ``STATUS_ERROR`` reply and the connection stays usable;
@@ -425,8 +426,9 @@ class NetPulseServer:
             self._pulses_served.inc(len(blobs))
             return protocol.encode_reply_fetch(protocol.MODE_RECORD, blobs)
 
-        # Decoded-sample mode: one hop into the serving layer, whose
-        # per-shard single-flight dedupes concurrent fills.  copy_context():
+        # Decoded-sample mode: one hop into the serving layer, which
+        # fills this fetch's misses in one fused decode on the executor
+        # thread, under per-shard single-flight.  copy_context():
         # executor threads do not inherit the admission span's contextvar.
         waveforms = await loop.run_in_executor(
             executor,

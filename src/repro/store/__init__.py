@@ -16,8 +16,9 @@ production controller:
   batch-aware ``get_many`` that decodes misses through the fused
   parse→decode fast path (``ShardedStore.decode_many``).
 - :mod:`repro.store.server` -- :class:`PulseServer`, the thread-safe
-  ``fetch`` / ``fetch_batch`` front end with per-shard single-flight
-  and cross-shard parallel fills.
+  ``fetch`` / ``fetch_batch`` front end with per-shard single-flight;
+  a batch's misses fill in one fused decode on the calling thread,
+  under the shard locks they need, taken in ascending order.
 - :mod:`repro.store.trace` -- request traces (JSON files and synthetic
   Zipf workloads) for ``repro serve`` and the serving benchmark.
 

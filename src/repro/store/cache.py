@@ -15,8 +15,9 @@ pulse by pulse -- bit-identical to the scalar reference.
 The cache is thread-safe (a single reentrant lock guards the LRU map
 and counters) but deliberately does **not** deduplicate concurrent
 misses for the same pulse -- that single-flight policy belongs to the
-serving layer (:class:`repro.store.server.PulseServer`), which holds a
-per-shard lock around fills.
+serving layer (:class:`repro.store.server.PulseServer`), which fills
+all of a batch's misses with one :meth:`PulseCache.load_many` call
+while holding the locks of the shards they live in.
 
 Counters (hits / misses / insertions / evictions) are monotonic and
 exact: every :meth:`get`, :meth:`get_many`, or :meth:`lookup` resolves

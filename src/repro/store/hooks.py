@@ -2,7 +2,7 @@
 
 The chaos harness (:mod:`repro.chaos`) needs to *force* thread
 interleavings that normal scheduling only produces rarely: a thread
-preempted between its cache probe and the shard lock, two fills racing
+preempted between its cache probe and the shard locks, two fills racing
 an eviction, a drain racing an in-flight decode.  Rather than sprinkle
 ``time.sleep`` into tests, the serving layer exposes named **yield
 points** around its lock acquisitions; a registered hook can sleep,
@@ -46,8 +46,9 @@ def preempt(point: str) -> None:
     """Run the installed hook (if any) at one named yield point.
 
     Called by the serving stack around lock acquisitions.  The hook
-    must be thread-safe: yield points fire concurrently from server
-    fill threads, cache fills, and the network tier's executor.
+    must be thread-safe: yield points fire concurrently from every
+    thread that fills -- callers of ``fetch`` / ``fetch_batch`` and the
+    network tier's executor threads.
     """
     hook = _hook
     if hook is not None:

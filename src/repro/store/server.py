@@ -5,24 +5,28 @@ off the compressed waveform memory: gate issue asks for a decoded
 pulse, the hot set answers from the
 :class:`~repro.store.cache.PulseCache`, and misses are demand-fetched
 from the :class:`~repro.store.sharded.ShardedStore` and decoded
-in-process, inline on the read path (:meth:`PulseServer._fill_shard`
-is the one place a cold miss is decoded).  It is safe to call from
-many threads at once and adds two policies the cache deliberately
-does not have:
+in-process, inline on the read path (:meth:`PulseServer._fill` is the
+one place a cold miss is decoded).  It is safe to call from many
+threads at once and adds two policies the cache deliberately does not
+have:
 
-* **Per-shard single-flight.**  Every fill happens under that shard's
-  lock: when N threads miss on the same (or co-sharded) pulses at the
-  same moment, one of them decodes while the rest wait and then take
-  the freshly cached result (counted in ``coalesced_fills``).  The
-  same window is never decoded twice concurrently.  This is the only
-  place concurrent fetches are deduplicated: the network tier
+* **Per-shard single-flight.**  Every fill happens under the locks of
+  the shards it touches: when N threads miss on the same (or
+  co-sharded) pulses at the same moment, one of them decodes while the
+  rest wait and then take the freshly cached result (counted in
+  ``coalesced_fills``).  The same window is never decoded twice
+  concurrently, and a slow fill blocks only fills that need one of its
+  shards.  This is the only place concurrent fetches are
+  deduplicated: the network tier
   (:class:`~repro.serve_net.NetPulseServer`) hands every fetch
   straight to :meth:`PulseServer.fetch_batch` on an executor thread.
 
-* **Cross-shard parallel fills.**  :meth:`fetch_batch` groups its
-  misses by shard and fans the per-shard fills out on a
-  :class:`concurrent.futures.ThreadPoolExecutor`, so a batch touching
-  K shards pays roughly one shard's fill latency, not K.
+* **One fused decode per cold batch.**  :meth:`fetch_batch` hands all
+  of a batch's misses to one fill on the calling thread, which takes
+  the shard locks they need in ascending order and decodes them with
+  one :meth:`PulseCache.load_many` -- one
+  :meth:`~repro.store.sharded.ShardedStore.decode_many` call -- so
+  the fused decoder sees the whole batch, not one shard's slice of it.
 
 Served samples are bit-identical to the scalar reference
 (:func:`repro.compression.pipeline.decompress_channel` via
@@ -35,10 +39,9 @@ gate.
 
 from __future__ import annotations
 
-import contextvars
+import contextlib
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,9 +85,9 @@ class PulseServer:
         store: The compressed pulse store to serve from.
         cache_capacity: Decoded hot-set size (ignored when ``cache`` is
             given).
-        max_workers: Threads for cross-shard parallel fills; capped at
-            the store's shard count (more would never run concurrently
-            under per-shard single-flight).
+        max_workers: Has no effect: every fill runs on the calling
+            thread.  Kept (and still checked to be >= 1) for callers
+            that pass it.
         cache: Optionally share a pre-built :class:`PulseCache` (e.g.
             one cache behind several servers in a test harness).
         metrics: Registry for the ``server.*`` counters and the fill
@@ -94,8 +97,7 @@ class PulseServer:
             and is merged in :meth:`metrics_snapshot`.
 
     Use as a context manager, or call :meth:`close` to release the
-    fill executor and the store's mmap pool; serving after ``close``
-    still works -- fills run inline on the calling thread and the pool
+    store's mmap pool; serving after ``close`` still works -- the pool
     remaps shards on demand.
     """
 
@@ -125,10 +127,6 @@ class PulseServer:
         self._shard_locks = tuple(
             threading.Lock() for _ in range(store.n_shards)
         )
-        self._executor: Optional[ThreadPoolExecutor] = ThreadPoolExecutor(
-            max_workers=min(max_workers, store.n_shards),
-            thread_name_prefix="pulse-serve",
-        )
         self._stats_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._requests = self.metrics.counter("server.requests")
@@ -140,16 +138,13 @@ class PulseServer:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the fill executor and release store handles.
+        """Release store handles.
 
         Idempotent.  The cache's ``close`` cascades to the store's mmap
         pool; because the pool remaps on demand, a shared cache or
         store behind several servers keeps working after one of them
         closes.
         """
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
         self.cache.close()
 
     def __enter__(self) -> "PulseServer":
@@ -168,7 +163,7 @@ class PulseServer:
         key = normalize_key(gate, qubits)
         waveform = self.cache.lookup(*key)
         if waveform is None:
-            waveform = self._fill_shard(self.store.shard_of(*key), [key])[key]
+            waveform = self._fill([key])[key]
         with self._stats_lock:
             self._requests.inc()
         return waveform
@@ -176,63 +171,22 @@ class PulseServer:
     def fetch_batch(
         self, requests: Sequence[Tuple[str, Sequence[int]]]
     ) -> List[Waveform]:
-        """Serve a batch; misses fill per shard, shards fill in parallel.
+        """Serve a batch; all of its misses fill in one fused decode.
 
         Results come back in request order; duplicate keys are served
         from a single decode.
         """
         keys = [normalize_key(*request) for request in requests]
         resolved: Dict[_Key, Waveform] = {}
-        missing_by_shard: Dict[int, List[_Key]] = {}
+        misses: List[_Key] = []
         for key in dict.fromkeys(keys):
             waveform = self.cache.lookup(*key)
             if waveform is not None:
                 resolved[key] = waveform
             else:
-                shard = self.store.shard_of(*key)
-                missing_by_shard.setdefault(shard, []).append(key)
-        if missing_by_shard:
-            executor = self._executor
-            filled = False
-            if executor is not None and len(missing_by_shard) > 1:
-                try:
-                    # copy_context(): run_in-executor threads do not
-                    # inherit contextvars, and the active trace span
-                    # rides on one -- each fill gets its own copy so
-                    # parallel fills attach as siblings.
-                    futures = [
-                        executor.submit(
-                            contextvars.copy_context().run,
-                            self._fill_shard,
-                            shard,
-                            shard_keys,
-                        )
-                        for shard, shard_keys in missing_by_shard.items()
-                    ]
-                except RuntimeError:
-                    # close() raced us between reading self._executor
-                    # and submit(); honor the documented fallback.
-                    pass
-                else:
-                    # Every submitted future must be retrieved even when
-                    # one shard's fill fails: returning on the first
-                    # error would leak "exception was never retrieved"
-                    # futures and abandon fills still in flight.  The
-                    # first failure propagates (typed) once all fills
-                    # have settled.
-                    first_error: Optional[BaseException] = None
-                    for future in futures:
-                        try:
-                            resolved.update(future.result())
-                        except BaseException as exc:
-                            if first_error is None:
-                                first_error = exc
-                    if first_error is not None:
-                        raise first_error
-                    filled = True
-            if not filled:
-                for shard, shard_keys in missing_by_shard.items():
-                    resolved.update(self._fill_shard(shard, shard_keys))
+                misses.append(key)
+        if misses:
+            resolved.update(self._fill(misses))
         with self._stats_lock:
             self._requests.inc(len(keys))
             self._batches.inc()
@@ -272,20 +226,28 @@ class PulseServer:
 
     # -- fills -----------------------------------------------------------------
 
-    def _fill_shard(self, shard: int, keys: List[_Key]) -> Dict[_Key, Waveform]:
-        """Resolve misses for one shard under its single-flight lock.
+    def _fill(self, keys: List[_Key]) -> Dict[_Key, Waveform]:
+        """Resolve misses in one fused decode under their shards' locks.
 
-        Keys another thread decoded while we waited for the lock are
-        taken from the cache (coalesced); the remainder is read and
-        decoded in one batch, in this thread, still under the lock
+        Every key's shard is resolved first, so an unknown key fails
+        typed before any lock is held.  The locks the keys need are
+        then taken once each, in ascending index order (one global
+        order, so overlapping fills cannot deadlock), and released in
+        reverse.  Keys another thread decoded while we waited are taken
+        from the cache (coalesced); the remainder is read and decoded
+        in one batch, in this thread, still under the locks
         (:meth:`PulseCache.load_many` -> ``ShardedStore.decode_many``).
         """
+        shard_of, n_locks = self.store.shard_of, len(self._shard_locks)
+        needed = sorted({shard_of(*key) % n_locks for key in keys})
         out: Dict[_Key, Waveform] = {}
         coalesced = 0
         started = time.perf_counter()
-        with obs_trace.span("server.fill", shard=shard, keys=len(keys)):
+        with obs_trace.span("server.fill", shards=len(needed), keys=len(keys)):
             preempt("server.fill.pre_lock")
-            with self._shard_locks[shard % len(self._shard_locks)]:
+            with contextlib.ExitStack() as held:
+                for index in needed:
+                    held.enter_context(self._shard_locks[index])
                 preempt("server.fill.locked")
                 to_load: List[_Key] = []
                 for key in keys:

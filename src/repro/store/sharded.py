@@ -139,7 +139,7 @@ _Key = Tuple[str, Tuple[int, ...]]
 
 def normalize_key(gate: str, qubits: Sequence[int]) -> _Key:
     """Canonical channel key: every layer of the store agrees on this."""
-    return (gate, tuple(int(q) for q in qubits))
+    return (gate, tuple(map(int, qubits)))
 
 
 def shard_index(gate: str, qubits: Sequence[int], n_shards: int) -> int:

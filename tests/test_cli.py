@@ -29,10 +29,9 @@ class TestParser:
         assert not args.check
 
     def test_serve_net_worker_flags(self):
-        args = build_parser().parse_args(["serve-net", "some.cqs"])
-        assert args.fill_threads == 4
-        # Cold misses always decode in-process: there is no decode
-        # process pool to size.
+        build_parser().parse_args(["serve-net", "some.cqs"])
+        # Cold misses always decode in-process, on the calling thread:
+        # there is no decode process pool or fill thread pool to size.
         for flag in ("--workers", "--shm-limit"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-net", "some.cqs", flag, "1"])
@@ -195,8 +194,9 @@ class TestServeCommand:
         assert args.store == "some.cqs"
         assert args.requests is None
         assert args.cache_size == 64
-        assert args.workers == 4
         assert not args.no_verify
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "some.cqs", "--workers", "4"])
 
     def test_serve_synthetic_trace(self, tmp_path, capsys):
         out = tmp_path / "bogota.cqs"

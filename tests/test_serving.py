@@ -7,7 +7,10 @@ its capacity, eviction strictly follows least-recent use, and the
 hit/miss/insertion/eviction counters stay mutually consistent.
 """
 
+import random
+import sys
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,15 +23,18 @@ from repro.errors import StoreError
 from repro.compression.pipeline import decompress_waveform
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
+from repro.obs import default_registry
 from repro.store import (
     PulseCache,
     PulseServer,
+    StoreWriter,
     load_trace,
     open_store,
     save_store,
     synthetic_trace,
     write_trace,
 )
+from repro.store.hooks import preempt_hook
 
 
 @pytest.fixture(scope="module")
@@ -220,7 +226,7 @@ class TestPulseServer:
 
     def test_single_flight_decodes_once(self, store):
         """N threads missing the same cold key insert exactly once."""
-        with PulseServer(store, cache_capacity=8, max_workers=4) as server:
+        with PulseServer(store, cache_capacity=8) as server:
             key = store.keys()[0]
             barrier = threading.Barrier(8)
 
@@ -265,7 +271,7 @@ class TestPulseServer:
         root = tmp_path_factory.mktemp("interleave") / "s.cqs"
         store = save_store(compiled, root, n_shards=n_shards)
         keys = store.keys()
-        with PulseServer(store, cache_capacity=capacity, max_workers=4) as server:
+        with PulseServer(store, cache_capacity=capacity) as server:
 
             def run_schedule(schedule):
                 out = []
@@ -382,66 +388,170 @@ class TestServedBuffersReadOnly:
                 waveform.samples.setflags(write=True)
 
 
-class _ShardGatedStore:
-    """Test double: one shard's decode fails fast, another's blocks.
+class _FailingDecodeStore:
+    """Test double: ``decode_many`` raises while any poisoned key is asked.
 
     Everything else falls through to the real store, so the serving
     stack above cannot tell it apart from a misbehaving disk.
     """
 
-    def __init__(self, store, fail_shard, slow_shard, release):
+    def __init__(self, store, poisoned):
         self._store = store
-        self._fail = fail_shard
-        self._slow = slow_shard
-        self._release = release
-        self.slow_fill_done = False
+        self._poisoned = set(poisoned)
 
     def __getattr__(self, name):
         return getattr(self._store, name)
 
     def decode_many(self, requests):
         requests = list(requests)
-        shard = self._store.shard_of(*requests[0])
-        if shard == self._fail:
-            raise StoreError("chaos: injected shard failure")
-        if shard == self._slow:
-            assert self._release.wait(timeout=10), "gate never released"
-            result = self._store.decode_many(requests)
-            self.slow_fill_done = True
-            return result
+        if self._poisoned.intersection(requests):
+            raise StoreError("chaos: injected decode failure")
         return self._store.decode_many(requests)
 
 
-class TestFetchBatchPartialFailure:
-    def test_typed_error_propagates_after_all_fills_settle(
-        self, compiled, tmp_path
+class TestFetchBatchFailure:
+    def test_failed_decode_raises_typed_and_frees_every_lock(
+        self, compiled, reference, tmp_path
     ):
-        """One failing shard must not abandon the other shards' fills.
-
-        Regression: fetch_batch used to return on the first failed
-        future, leaking the still-running fills ("exception was never
-        retrieved") and letting the final key lookup mask the typed
-        error as KeyError.
-        """
+        """A batch whose decode fails raises typed, caches nothing, and
+        leaves no shard lock held."""
         base = save_store(compiled, tmp_path / "pf.cqs", n_shards=3)
         by_shard = {}
         for key in base.keys():
             by_shard.setdefault(base.shard_of(*key), []).append(key)
-        fail_shard, slow_shard = sorted(by_shard)[:2]
-        release = threading.Event()
-        gated = _ShardGatedStore(base, fail_shard, slow_shard, release)
-        with PulseServer(gated, cache_capacity=64, max_workers=4) as server:
-            batch = by_shard[fail_shard][:2] + by_shard[slow_shard][:2]
-            timer = threading.Timer(0.2, release.set)
-            timer.start()
+        assert len(by_shard) == 3
+        batch = [keys[0] for keys in by_shard.values()]
+        others = [keys[1] for keys in by_shard.values()]
+        failing = _FailingDecodeStore(base, batch[:1])
+        with PulseServer(failing, cache_capacity=64) as server:
+            with pytest.raises(StoreError, match="injected decode failure"):
+                server.fetch_batch(batch)
+            for key in batch:
+                assert server.cache.peek(*key) is None
+            assert server.stats().cache.insertions == 0
+
+            served = {}
+            follow_up = threading.Thread(
+                target=lambda: served.update(
+                    zip(others, server.fetch_batch(others))
+                ),
+                daemon=True,
+            )
+            follow_up.start()
+            follow_up.join(timeout=5)
+            assert not follow_up.is_alive(), "a shard lock was left held"
+            for key in others:
+                _assert_served(reference, key, served[key])
+
+
+class _ThreadRecordingStore:
+    """Test double: records the thread every ``decode_many`` runs on."""
+
+    def __init__(self, store):
+        self._store = store
+        self.decode_threads = []
+
+    def __getattr__(self, name):
+        return getattr(self._store, name)
+
+    def decode_many(self, requests):
+        self.decode_threads.append(threading.get_ident())
+        return self._store.decode_many(requests)
+
+
+class TestOneDecodePerBatch:
+    def test_cold_batch_costs_one_decode_on_the_calling_thread(
+        self, compiled, tmp_path
+    ):
+        """Misses spanning every shard file -- staged commit file
+        included -- are decoded by one fused call, in the caller."""
+        root = tmp_path / "one.cqs"
+        save_store(compiled, root, n_shards=3).close()
+        with StoreWriter(root) as writer:
+            key = writer.store.keys()[0]
+            waveform = writer.store.decode_many([key])[0]
+            writer.put(
+                *key,
+                CompaqtCompiler(window_size=16).compile_waveform(
+                    waveform.with_samples(np.roll(waveform.samples, 1) * 0.9)
+                ),
+            )
+            committed = writer.commit()
+        assert committed.shard_count > committed.n_shards
+        batch = {}
+        for key in committed.keys():
+            batch.setdefault(committed.record_info(*key).shard, key)
+        assert sorted(batch) == list(range(committed.shard_count))
+        batch = list(batch.values())
+        expected = {
+            key: decompress_waveform(committed.read_record(*key)).samples
+            for key in batch
+        }
+
+        recording = _ThreadRecordingStore(committed)
+        decodes = default_registry().counter("store.decode_batches")
+        with PulseServer(recording, cache_capacity=64) as server:
+            decodes_before = decodes.value
+            fills_before = server.stats().shard_fills
+            served = server.fetch_batch(batch)
+            assert decodes.value - decodes_before == 1
+            assert server.stats().shard_fills - fills_before == 1
+        assert recording.decode_threads == [threading.get_ident()]
+        for key, waveform in zip(batch, served):
+            _assert_served(expected, key, waveform)
+
+
+class TestLockOrdering:
+    def test_forced_interleavings_never_deadlock(self, compiled, reference, tmp_path):
+        """Overlapping multi-shard fills, yielding at both fill points,
+        all finish, serve exact samples, and insert each key once."""
+        store = save_store(compiled, tmp_path / "lo.cqs", n_shards=3)
+        keys = store.keys()
+        fetched = set()
+        results = [[] for _ in range(4)]
+        errors = []
+
+        def yield_at_fill(point):
+            if point.startswith("server.fill."):
+                time.sleep(0)
+
+        with PulseServer(store, cache_capacity=len(keys)) as server:
+
+            def worker(index):
+                rng = random.Random(1000 + index)
+                try:
+                    for _ in range(12):
+                        picked = rng.sample(keys, rng.randint(1, 8))
+                        if rng.random() < 0.7:
+                            results[index].extend(
+                                zip(picked, server.fetch_batch(picked))
+                            )
+                        else:
+                            for key in picked:
+                                results[index].append((key, server.fetch(*key)))
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
             try:
-                with pytest.raises(StoreError, match="injected shard failure"):
-                    server.fetch_batch(batch)
+                with preempt_hook(yield_at_fill):
+                    threads = [
+                        threading.Thread(target=worker, args=(i,), daemon=True)
+                        for i in range(4)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=30)
             finally:
-                release.set()
-                timer.cancel()
-            # fetch_batch returned only after the slow shard's fill
-            # settled -- and that fill's work was not thrown away.
-            assert gated.slow_fill_done
-            for key in by_shard[slow_shard][:2]:
-                assert server.cache.peek(*key) is not None
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads), (
+                "fills deadlocked"
+            )
+            assert not errors, errors
+            for served in results:
+                for key, waveform in served:
+                    fetched.add(key)
+                    _assert_served(reference, key, waveform)
+            assert server.stats().cache.insertions == len(fetched)

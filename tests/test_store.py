@@ -33,6 +33,7 @@ from repro.store import (
     shard_index,
     verify_store,
 )
+from repro.store.sharded import normalize_key
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,25 @@ def _container(compiled):
         variant=compiled.variant,
         entries=entries,
     )
+
+
+class TestNormalizeKey:
+    @pytest.mark.parametrize(
+        "qubits",
+        [[0, 1], (0, 1), range(2), np.array([0, 1]), [np.int64(0), np.uint8(1)]],
+        ids=["list", "tuple", "range", "ndarray", "numpy-ints"],
+    )
+    def test_qubits_become_plain_int_tuples(self, qubits):
+        key = normalize_key("cx", qubits)
+        assert key == ("cx", (0, 1))
+        assert all(type(q) is int for q in key[1])
+
+    @pytest.mark.parametrize(
+        "qubits, error", [(["a"], ValueError), ([None], TypeError), (3, TypeError)]
+    )
+    def test_non_integer_qubits_raise(self, qubits, error):
+        with pytest.raises(error):
+            normalize_key("x", qubits)
 
 
 class TestRecordSpans:
