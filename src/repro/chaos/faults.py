@@ -43,8 +43,8 @@ import random
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.compression.fastpath import decode_records
 from repro.errors import StoreError

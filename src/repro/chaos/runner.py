@@ -55,7 +55,7 @@ from repro.chaos.faults import WRITE_FAULT_KINDS, FaultPlan, FaultyStore
 from repro.chaos.invariants import InvariantChecker
 from repro.compression.pipeline import decompress_waveform
 from repro.core.compiler import CompaqtCompiler
-from repro.errors import ChaosError, ReproError, StoreError
+from repro.errors import ChaosError, StoreError
 from repro.perf.compression_bench import resolve_device
 from repro.pulses.waveform import Waveform
 from repro.serve_net.client import PulseClient

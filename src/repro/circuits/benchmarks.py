@@ -14,7 +14,6 @@ import math
 from typing import List, Optional, Tuple
 
 import networkx as nx
-import numpy as np
 
 from repro.errors import SimulationError
 from repro.circuits.circuit import Circuit

@@ -12,7 +12,8 @@ threshold → RLE → bitstream machinery wrapped around it.  The contract:
 * ``forward_blocks`` / ``inverse_blocks`` are the row-wise vectorized
   kernels over a ``(n_windows, ·)`` matrix, **bit-identical** to mapping
   the scalar kernels over the rows (the batch engine and the
-  scalar/batched parity gates rely on this);
+  scalar/batched parity gates rely on this); a block kernel may hand
+  its codes back as integer-valued float64 (int-DCT-W's inverse does);
 * both directions are deterministic -- same input, same bytes, on any
   BLAS and any platform.
 

@@ -124,9 +124,11 @@ class FloatDctCodec(Codec):
 class IntDctCodec(Codec):
     """HEVC-style integer DCT (``int-DCT-W``) -- the paper's hardware pick.
 
-    Exact int64 arithmetic end to end, so the block kernels are
-    bit-identical to the scalar ones by construction and no rational-row
-    fixup is needed.
+    Exact arithmetic end to end, so the block kernels are bit-identical
+    to the scalar ones by construction and no rational-row fixup is
+    needed.  :meth:`inverse_blocks` returns its codes as integer-valued
+    float64, straight from the exact gemm of
+    :func:`~repro.transforms.integer_dct.int_idct_blocks`.
     """
 
     name = "int-DCT-W"
@@ -161,4 +163,4 @@ class IntDctCodec(Codec):
     def inverse_blocks(self, coeffs: np.ndarray) -> np.ndarray:
         coeffs = self._require_2d(coeffs, "coefficients")
         self._check_transform_size(coeffs.shape[1])
-        return int_idct_blocks(coeffs).astype(np.int64)
+        return int_idct_blocks(coeffs)

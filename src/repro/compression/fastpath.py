@@ -696,6 +696,7 @@ def _decode_scans(
             words.coeff_matrix(refs, codec.coeff_count(ws))
         )
         flat = recon.reshape(-1)
+        np.clip(flat, -32768, 32767, out=flat)
         width = recon.shape[1] if recon.ndim == 2 else ws
         offset = 0
         for i, ref in zip(indices, refs):
@@ -706,18 +707,19 @@ def _decode_scans(
             ]
             offset += count
 
-    # Finish in the sample domain once for the whole batch: clip,
-    # dequantize and magnitude-clamp every record's channels in single
-    # array passes (elementwise, so bit-identical to the per-record
-    # Waveform.from_fixed_point sequence), then hand each record a
-    # slice of the shared complex envelope.
-    i_big = np.concatenate(codes[0::2]) if len(scans) > 1 else codes[0]
-    q_big = np.concatenate(codes[1::2]) if len(scans) > 1 else codes[1]
-    np.clip(i_big, -32768, 32767, out=i_big)
-    np.clip(q_big, -32768, 32767, out=q_big)
-    samples = i_big / np.float64(32767.0) + 1j * (
-        q_big / np.float64(32767.0)
+    # Finish in the sample domain once for the whole batch: gather and
+    # dequantize the clipped I and Q codes straight into the real and
+    # imaginary halves of one complex envelope, then magnitude-clamp
+    # it, each in single array passes.  Elementwise, so bit-identical
+    # to the per-record Waveform.from_fixed_point sequence: its
+    # ``i + 1j * q`` adds only a signed zero to the real part, which
+    # ``i / 32767 + (+-0.0)`` absorbs.  Each record then gets a slice.
+    samples = np.empty(
+        sum(scan.i_ref.original_length for scan in scans), dtype=np.complex128
     )
+    for half, parts in ((samples.real, codes[0::2]), (samples.imag, codes[1::2])):
+        np.concatenate(parts, out=half)
+        half /= 32767.0
     magnitude = np.abs(samples)
     over = magnitude > 1.0
     if over.any():

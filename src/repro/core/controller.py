@@ -8,7 +8,6 @@ the scalability benches drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np

@@ -35,7 +35,7 @@ import itertools
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",

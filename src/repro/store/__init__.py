@@ -6,7 +6,8 @@ production controller:
 - :mod:`repro.store.sharded` -- the on-disk layout and its reader: one
   ``CQS2`` JSON manifest per committed generation plus ``CQL1`` shard
   files, hash-sharded by channel, with a byte-offset index so one pulse
-  record is a single zero-copy span view out of a bounded mmap pool.
+  record is a single zero-copy span view out of one mapping per shard
+  file of the served generation.
   A legacy ``CQS1`` ``manifest.json`` still opens, as generation 0.
 - :mod:`repro.store.writable` -- :func:`save_store`, which publishes a
   compiled library as generation 1, and :class:`StoreWriter`, which

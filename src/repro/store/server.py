@@ -213,7 +213,7 @@ class PulseServer:
         """
         with self._refresh_lock:
             current = self.store
-            fresh = ShardedStore.open(current.path, current.max_open_shards)
+            fresh = ShardedStore.open(current.path)
             if fresh.generation == current.generation:
                 fresh.close()
                 return False

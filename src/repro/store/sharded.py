@@ -45,16 +45,18 @@ corrupt shard raises :class:`~repro.errors.StoreError` or
 :class:`~repro.errors.CompressionError` instead of yielding garbage
 samples.
 
-**Read path.**  All shard reads go through a bounded mmap pool
-(:class:`_MmapPool`): a shard file is opened and mapped once, record
-spans are served as zero-copy memoryview slices of the mapping, and
-the vectorized parse/decode engine (:mod:`repro.compression.fastpath`)
-consumes those views directly -- no per-call ``open``/``seek``/``read``
-and no intermediate byte copies on the cold-miss path.  ``close()`` (or
-the context manager) releases every cached mapping deterministically;
-a store remains usable after ``close`` -- the pool simply reopens on
-the next read, which keeps shared-store setups (several servers over
-one store) safe.
+**Read path.**  All shard reads go through an mmap pool
+(:class:`_MmapPool`) that holds one mapping (and one file descriptor)
+per file of the served generation: a shard file is opened and mapped
+on its first read and stays mapped, record spans are served as
+zero-copy memoryview slices of the mapping, and the vectorized
+parse/decode engine (:mod:`repro.compression.fastpath`) consumes those
+views directly -- no per-call ``open``/``seek``/``read``, no remap and
+no intermediate byte copies on the cold-miss path.  ``close()`` (or
+the context manager) releases every mapping deterministically; a store
+remains usable after ``close`` -- the pool simply maps again on the
+next read, which keeps shared-store setups (several servers over one
+store) safe.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import re
 import threading
 import time
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -179,21 +180,26 @@ class StoreRecord:
 
 
 class _MmapPool:
-    """Bounded, thread-safe pool of open shard mmaps.
+    """Thread-safe shard mmaps: one mapping per file of the served generation.
 
-    Replaces the old one-``open``-per-read pattern: each shard file is
-    opened and memory-mapped at most once while resident, and record
-    reads become zero-copy memoryview slices of the mapping.  At most
-    ``max_open`` mappings stay resident (least-recently used shards are
-    released first), so a thousand-shard store never holds a thousand
-    file descriptors.
+    Each shard file of the handle's generation is opened and
+    memory-mapped at most once, on its first read, and stays mapped
+    until ``close()``; record reads are zero-copy memoryview slices of
+    the mapping.  Nothing is evicted, so a decode call that walks every
+    file of its batch never remaps one.  The cost is one file
+    descriptor (``mmap`` dups it) and one mapping per shard file read:
+    the base layout's ``n_shards`` plus one file per commit since the
+    last :meth:`~repro.store.StoreWriter.compact`, which only runs when
+    a caller invokes it.
 
-    ``close()`` drops every cached mapping.  A mapping whose buffer is
-    still exported to a live view cannot be unmapped (Python raises
+    ``close()`` drops every mapping.  A mapping whose buffer is still
+    exported to a live view cannot be unmapped (Python raises
     ``BufferError``); the pool then simply drops its reference and the
     OS reclaims the mapping when the last view dies -- release is
     deterministic in the common case and never blocks or corrupts a
-    concurrent reader.
+    concurrent reader.  A read after ``close()`` maps its file again
+    (counted in ``store.mmap_reopens``; first maps count in
+    ``store.mmap_opens``).
 
     ``fault_hook`` is the chaos harness's low-level injection point
     (see :mod:`repro.chaos`): when set, it is called as
@@ -208,15 +214,11 @@ class _MmapPool:
     def __init__(
         self,
         paths: Tuple[pathlib.Path, ...],
-        max_open: int,
         fault_hook: Optional[Callable[[str, int], None]] = None,
     ) -> None:
-        if max_open < 1:
-            raise StoreError(f"max_open_shards must be >= 1, got {max_open}")
         self._paths = paths
-        self._max_open = max_open
         self._lock = threading.Lock()
-        self._maps: "OrderedDict[int, mmap.mmap]" = OrderedDict()
+        self._maps: Dict[int, mmap.mmap] = {}
         self._ever_mapped: set = set()
         self.fault_hook = fault_hook
 
@@ -230,7 +232,7 @@ class _MmapPool:
             pass
 
     def view(self, shard: int) -> memoryview:
-        """Zero-copy view over one whole shard file (mapped on demand)."""
+        """Zero-copy view over one whole shard file (mapped on first use)."""
         hook = self.fault_hook
         if hook is not None:
             hook("view", shard)
@@ -243,8 +245,7 @@ class _MmapPool:
                         hook("map", shard)
                     with path.open("rb") as handle:
                         # mmap dups the descriptor, so the handle can
-                        # close immediately; the pool caps mappings,
-                        # not transient opens.
+                        # close immediately.
                         mapping = mmap.mmap(
                             handle.fileno(), 0, access=mmap.ACCESS_READ
                         )
@@ -262,11 +263,6 @@ class _MmapPool:
                     registry.counter("store.mmap_opens").inc()
                     self._ever_mapped.add(shard)
                 self._maps[shard] = mapping
-                while len(self._maps) > self._max_open:
-                    _stale, old = self._maps.popitem(last=False)
-                    self._release(old)
-            else:
-                self._maps.move_to_end(shard)
             return memoryview(mapping)
 
     @property
@@ -276,7 +272,7 @@ class _MmapPool:
 
     def close(self) -> None:
         with self._lock:
-            maps, self._maps = list(self._maps.values()), OrderedDict()
+            maps, self._maps = list(self._maps.values()), {}
         for mapping in maps:
             self._release(mapping)
 
@@ -304,7 +300,6 @@ class ShardedStore:
         n_shards: int,
         shard_files: Tuple[str, ...],
         index: Dict[_Key, StoreRecord],
-        max_open_shards: int = 8,
         generation: int = 0,
         tombstones: Optional[Dict[_Key, int]] = None,
     ) -> None:
@@ -325,15 +320,7 @@ class ShardedStore:
         self.tombstones: Dict[_Key, int] = dict(tombstones or {})
         self._shard_files = shard_files
         self._index = index
-        self._pool = _MmapPool(
-            tuple(path / name for name in shard_files),
-            max_open=min(max_open_shards, max(1, len(shard_files))),
-        )
-
-    @property
-    def max_open_shards(self) -> int:
-        """The mmap pool's resident-shard budget (what a reopen reuses)."""
-        return self._pool._max_open
+        self._pool = _MmapPool(tuple(path / name for name in shard_files))
 
     @property
     def io_fault_hook(self) -> Optional[Callable[[str, int], None]]:
@@ -351,11 +338,7 @@ class ShardedStore:
     # -- opening -------------------------------------------------------------
 
     @classmethod
-    def open(
-        cls,
-        path: Union[str, pathlib.Path],
-        max_open_shards: int = 8,
-    ) -> "ShardedStore":
+    def open(cls, path: Union[str, pathlib.Path]) -> "ShardedStore":
         """Open a store directory, validating its manifest and layout.
 
         Recovery-on-open: generation manifests are tried newest first,
@@ -367,8 +350,6 @@ class ShardedStore:
 
         Args:
             path: The ``*.cqs`` store directory.
-            max_open_shards: Upper bound on concurrently resident shard
-                mmaps (the handle-pool budget).
         """
         root = pathlib.Path(path)
         candidates = list_generation_manifests(root)
@@ -377,7 +358,7 @@ class ShardedStore:
         failures: List[str] = []
         for _generation, manifest_path in candidates:
             try:
-                return cls._open_manifest(root, manifest_path, max_open_shards)
+                return cls._open_manifest(root, manifest_path)
             except StoreError as exc:
                 if len(candidates) == 1:
                     raise
@@ -389,10 +370,7 @@ class ShardedStore:
 
     @classmethod
     def _open_manifest(
-        cls,
-        root: pathlib.Path,
-        manifest_path: pathlib.Path,
-        max_open_shards: int,
+        cls, root: pathlib.Path, manifest_path: pathlib.Path
     ) -> "ShardedStore":
         """Parse and fully validate one manifest candidate.
 
@@ -476,7 +454,6 @@ class ShardedStore:
             n_shards=n_shards,
             shard_files=tuple(shard_files),
             index=index,
-            max_open_shards=max_open_shards,
             generation=generation,
             tombstones=tombstones,
         )
@@ -581,7 +558,7 @@ class ShardedStore:
 
     @property
     def open_shard_handles(self) -> int:
-        """Currently resident shard mmaps (bounded by the pool)."""
+        """Currently mapped shard files (at most ``shard_count``)."""
         return self._pool.open_count
 
     @property

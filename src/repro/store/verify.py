@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.errors import CompressionError, ReproError, StoreError
 from repro.compression.bitstream import parse_waveform, parse_waveform_scalar
@@ -114,7 +114,7 @@ def verify_store(path: Union[str, pathlib.Path]) -> VerifyReport:
     # recovered past it.
     for _generation, manifest_path in manifests:
         try:
-            ShardedStore._open_manifest(root, manifest_path, max_open_shards=1)
+            ShardedStore._open_manifest(root, manifest_path)
         except StoreError as exc:
             report.manifest_errors.append(f"{manifest_path.name}: {exc}")
 

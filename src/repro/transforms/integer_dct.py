@@ -12,12 +12,16 @@ factor, and identical to the published HEVC matrices for N in {4, 8, 16,
 shift of ``6 + log2(N)`` bits and an inverse shift of 6 bits make the
 round trip unity-gain on 16-bit samples.
 
-Two inverse paths are provided:
+Three inverse paths are provided:
 
-- :func:`int_idct` -- fast ``numpy`` evaluation (bit-exact);
+- :func:`int_idct` -- ``numpy`` int64 evaluation of one window (bit-exact);
 - :func:`int_idct_shift_add` -- a reference that uses *only* shifts and
   adds via :func:`repro.transforms.csd.shift_add_multiply`, proving the
-  multiplierless property the decompression engine relies on.
+  multiplierless property the decompression engine relies on;
+- :func:`int_idct_blocks` -- many windows in float64 gemms, exact
+  because every coefficient below ``2**40`` (so every 16-bit one) keeps
+  each partial sum below ``2**53`` (numpy's int64 matrix product never
+  reaches BLAS).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.errors import CompressionError
 from repro.transforms.csd import (
     OpCount,
     csd_digits,
-    multiplier_cost,
     shared_multiplier_cost,
     shift_add_multiply,
 )
@@ -203,8 +206,42 @@ def int_dct_blocks(blocks: np.ndarray) -> np.ndarray:
     return _saturate16(y)
 
 
+#: Multiply-adds (rows x N x N) per float64 gemm in
+#: :func:`int_idct_blocks`.  OpenBLAS 0.3.31 hands a dgemm of about
+#: ``2**20`` multiply-adds and up to a second thread (measured on a
+#: 2-CPU host at N = 4, 8, 16 and 32), which then spins between calls
+#: and burns CPU next to the Python that interleaves them.  Blocks of
+#: half that size -- 2,048 rows at N = 16, 512 at N = 32 -- stayed on
+#: the calling thread at every N.
+_GEMM_MACS = 2048 * 16 * 16
+
+
+@lru_cache(maxsize=8)
+def _scaled_inverse_matrix(n: int) -> np.ndarray:
+    """``H_N / 64`` in float64: the inverse shift folded into the gemm."""
+    matrix = integer_dct_matrix(n) / float(1 << INVERSE_SHIFT)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def int_idct_blocks(spectra: np.ndarray) -> np.ndarray:
-    """Inverse integer DCT of many coefficient windows at once."""
+    """Inverse integer DCT of many coefficient windows at once.
+
+    Row ``k`` equals :func:`int_idct` of ``spectra[k]``; the codes come
+    back as integer-valued float64, already round-shifted and
+    saturated to the int16 range, ready for dequantization.
+
+    The product is a float64 gemm that is exact by construction for
+    every coefficient below ``2**40`` in magnitude, which covers every
+    16-bit stream: ``|H_N| <= 90`` and ``N <= 32``, so every partial
+    sum is an integer below ``32 * 90 * 2**40 < 2**53`` times the
+    power-of-two ``1/64`` folded into the matrix -- exact in float64
+    under any summation order, with or without FMA, hence the same
+    bytes on any BLAS.  The HEVC round shift is then
+    ``floor(x / 64 + 1/2)``, which yields ``+0.0``, never ``-0.0``.
+    The gemm runs in row blocks of at most :data:`_GEMM_MACS`
+    multiply-adds so OpenBLAS keeps it on the calling thread.
+    """
     spectra = np.asarray(spectra)
     if spectra.ndim != 2:
         raise CompressionError(
@@ -212,9 +249,19 @@ def int_idct_blocks(spectra: np.ndarray) -> np.ndarray:
         )
     n = spectra.shape[1]
     _check_size(n)
-    x = spectra.astype(np.int64) @ integer_dct_matrix(n)
-    x = _rshift_round(x, INVERSE_SHIFT)
-    return _saturate16(x)
+    matrix = _scaled_inverse_matrix(n)
+    rows = _GEMM_MACS // (n * n)
+    out = np.empty(spectra.shape, dtype=np.float64)
+    for start in range(0, spectra.shape[0], rows):
+        stop = start + rows
+        np.matmul(
+            spectra[start:stop].astype(np.float64), matrix, out=out[start:stop]
+        )
+    out += 0.5
+    np.floor(out, out=out)
+    info = np.iinfo(COEFF_DTYPE)
+    np.clip(out, info.min, info.max, out=out)
+    return out
 
 
 def int_idct_shift_add(y: np.ndarray) -> np.ndarray:

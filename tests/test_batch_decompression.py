@@ -30,6 +30,7 @@ from repro.core import CompaqtCompiler
 from repro.devices import google_device, ibm_device
 from repro.microarch import DecompressionPipeline
 from repro.pulses import Waveform
+from sample_identity import assert_same_samples
 
 WINDOW_SIZES = (8, 16, 32)
 #: Every registered codec: the Table II DCT family plus the promoted
@@ -67,12 +68,28 @@ def _fused(entries):
     return decode_records([serialize_waveform(entry) for entry in entries])
 
 
+def _assert_library_matches_scalar(compiled) -> None:
+    """One fused decode of a compiled library equals the scalar oracle,
+    pulse by pulse, in samples (as bytes) and in fixed-point codes."""
+    entries = [result.compressed for _key, result in compiled]
+    decoded = _fused(entries)
+    assert len(decoded) == len(entries)
+    for entry, waveform in zip(entries, decoded):
+        reference = decompress_waveform(entry)
+        assert_same_samples(waveform, reference)
+        i_codes, q_codes = waveform.to_fixed_point()
+        np.testing.assert_array_equal(i_codes, reference.to_fixed_point()[0])
+        np.testing.assert_array_equal(
+            decompress_channel(entry.i_channel), i_codes.astype(np.int64)
+        )
+
+
 def _assert_three_way_identical(compressed, check_microarch: bool) -> None:
     """Scalar, fused, and (optionally) cycle-level decode all agree."""
     reference = decompress_waveform(compressed)
     fused = decode_record_bytes(serialize_waveform(compressed))
     assert fused.name == reference.name
-    np.testing.assert_array_equal(fused.samples, reference.samples)
+    assert_same_samples(fused, reference)
 
     if check_microarch:
         scalar_i = decompress_channel(compressed.i_channel)
@@ -140,17 +157,7 @@ class TestLibraryConformance:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_batch_decode_matches_scalar_per_pulse(self, libraries, variant):
-        compiled = libraries[variant]
-        entries = [result.compressed for _key, result in compiled]
-        for entry, waveform in zip(entries, _fused(entries)):
-            reference = decompress_waveform(entry)
-            np.testing.assert_array_equal(waveform.samples, reference.samples)
-            i_codes, q_codes = waveform.to_fixed_point()
-            np.testing.assert_array_equal(
-                i_codes, reference.to_fixed_point()[0]
-            )
-            np.testing.assert_array_equal(decompress_channel(entry.i_channel),
-                                          i_codes.astype(np.int64))
+        _assert_library_matches_scalar(libraries[variant])
 
     @pytest.mark.parametrize("variant", MICROARCH_VARIANTS)
     def test_microarch_stream_matches_batch_decode(self, libraries, variant):
@@ -171,9 +178,7 @@ class TestLibraryConformance:
         batch = compress_batch(pulses, window_size=8)
         decoded = _fused([result.compressed for result in batch])
         for result, waveform in zip(batch, decoded):
-            np.testing.assert_array_equal(
-                waveform.samples, result.reconstructed.samples
-            )
+            assert_same_samples(waveform, result.reconstructed)
 
     def test_mixed_variants_in_one_batch(self):
         """One decode_records call may mix codecs and window sizes;
@@ -192,7 +197,20 @@ class TestLibraryConformance:
         for entry, waveform in zip(entries, _fused(entries)):
             reference = decompress_waveform(entry)
             assert waveform.name == reference.name
-            np.testing.assert_array_equal(waveform.samples, reference.samples)
+            assert_same_samples(waveform, reference)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "library",
+        [ibm_device("guadalupe").pulse_library, google_device(6, 9).pulse_library],
+        ids=["guadalupe", "google-6x9"],
+    )
+    def test_whole_device_libraries_byte_identical(self, library, variant):
+        """The lima check on a long-pulse and a short-pulse library, each
+        decoded in one fused call (several gemm row blocks)."""
+        _assert_library_matches_scalar(
+            CompaqtCompiler(codec=variant).compile_library(library())
+        )
 
 
 class TestValidation:

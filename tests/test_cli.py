@@ -212,7 +212,7 @@ class TestServeCommand:
         # printed counters describe the trace replay only: the verify
         # pass (one fetch_batch over all 23 keys) must not leak in
         lines = stdout.splitlines()
-        header = next(i for i, l in enumerate(lines) if l.startswith("requests"))
+        header = next(i for i, row in enumerate(lines) if row.startswith("requests"))
         assert lines[header + 2].split()[0] == "100"
 
     def test_serve_trace_file(self, tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import CompressionError
 from repro.compression import (
-    BankLayout,
     brams_per_stream_compaqt,
     brams_per_stream_uncompressed,
     compress_waveform,

@@ -30,7 +30,6 @@ from repro.compression.bitstream import (
     _Writer,
     _channel_block_bytes,
     _write_channel_scalar,
-    parse_library,
     parse_library_scalar,
     parse_waveform,
     parse_waveform_scalar,
@@ -51,12 +50,14 @@ from repro.compression.pipeline import (
 )
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
+from repro.obs import default_registry
 from repro.pulses import Waveform
-from repro.store import PulseCache, PulseServer, save_store
+from repro.store import PulseCache, PulseServer, ShardedStore, StoreWriter, save_store
 from repro.store.cache import CacheStats
 from repro.store.server import ServerStats
 from repro.store.sharded import StoreRecord
 from repro.transforms.rle import EncodedWindow
+from sample_identity import assert_same_samples
 
 ALL_VARIANTS = ("DCT-N", "DCT-W", "int-DCT-W", "delta", "dictionary")
 
@@ -113,7 +114,7 @@ class TestParseConformance:
         assert fused.name == reference.name
         assert fused.gate == reference.gate
         assert fused.qubits == reference.qubits
-        np.testing.assert_array_equal(fused.samples, reference.samples)
+        assert_same_samples(fused, reference)
 
     def test_dispatch_is_the_fast_path(self):
         blob, compressed = _record_blob()
@@ -125,9 +126,8 @@ class TestParseConformance:
         fast = parse_waveform_fast(GOLDEN_V1_WAVEFORM)
         assert fast == scalar
         assert serialize_waveform(fast) == GOLDEN_V1_WAVEFORM
-        np.testing.assert_array_equal(
-            decode_record_bytes(GOLDEN_V1_WAVEFORM).samples,
-            decompress_waveform(scalar).samples,
+        assert_same_samples(
+            decode_record_bytes(GOLDEN_V1_WAVEFORM), decompress_waveform(scalar)
         )
 
     def test_library_parse_and_fused_decode(self):
@@ -144,10 +144,7 @@ class TestParseConformance:
             (e.gate, e.qubits) for e in scalar.entries
         ]
         for (_g, _q, waveform), entry in zip(decoded, scalar.entries):
-            np.testing.assert_array_equal(
-                waveform.samples,
-                decompress_waveform(entry.compressed).samples,
-            )
+            assert_same_samples(waveform, decompress_waveform(entry.compressed))
 
     def test_decode_records_mixed_batch(self):
         blobs, references = [], []
@@ -162,7 +159,7 @@ class TestParseConformance:
         assert len(out) == len(references)
         for got, want in zip(out, references):
             assert got.name == want.name
-            np.testing.assert_array_equal(got.samples, want.samples)
+            assert_same_samples(got, want)
 
     def test_batch_decoded_waveforms_own_their_samples(self):
         """Cached entries must not pin the whole decode batch's memory."""
@@ -243,9 +240,8 @@ class TestMalformedEquivalence:
                 scalar.i_channel.original_length
                 == scalar.q_channel.original_length
             ):
-                np.testing.assert_array_equal(
-                    decode_record_bytes(corrupt).samples,
-                    decompress_waveform(scalar).samples,
+                assert_same_samples(
+                    decode_record_bytes(corrupt), decompress_waveform(scalar)
                 )
             else:
                 with pytest.raises(CompressionError):
@@ -296,15 +292,14 @@ class TestStoreFastPath:
         for key, waveform in zip(keys, decoded):
             reference = decompress_waveform(compiled.result(*key).compressed)
             assert waveform.name == reference.name
-            np.testing.assert_array_equal(waveform.samples, reference.samples)
+            assert_same_samples(waveform, reference)
 
     def test_decode_record_and_duplicate_requests(self, store):
         sharded, compiled = store
         key = sharded.keys()[0]
         one = sharded.decode_record(*key)
-        np.testing.assert_array_equal(
-            one.samples,
-            decompress_waveform(compiled.result(*key).compressed).samples,
+        assert_same_samples(
+            one, decompress_waveform(compiled.result(*key).compressed)
         )
         twice = sharded.decode_many([key, key])
         np.testing.assert_array_equal(twice[0].samples, twice[1].samples)
@@ -316,16 +311,45 @@ class TestStoreFastPath:
         assert isinstance(raw, bytes)
         assert parse_waveform(raw).gate == key[0]
 
-    def test_handle_pool_is_bounded_and_reopens_after_close(self, store):
-        sharded, _ = store
-        sharded.close()
-        assert sharded.open_shard_handles == 0
-        sharded.read_many(sharded.keys())  # touches every shard
-        assert 1 <= sharded.open_shard_handles <= sharded.n_shards
-        sharded.close()
-        assert sharded.open_shard_handles == 0
-        # Reads after close transparently remap.
-        assert len(sharded.read_many(sharded.keys())) == len(sharded)
+    def test_pool_maps_each_file_once_and_remaps_after_close(
+        self, store, tmp_path
+    ):
+        """Serving one generation never remaps: one mapping per shard
+        file, however wide the table (4 base files + 9 commits here),
+        until close(); a read after close maps its file again."""
+        _sharded, compiled = store
+        root = tmp_path / "wide.cqs"
+        save_store(compiled, root, n_shards=4).close()
+        with StoreWriter(root) as writer:
+            base = writer.store
+            # Every base file keeps its first key live, so all 13 files
+            # hold a record the reads below need.
+            kept = {base.shard_of(*key): key for key in reversed(base.keys())}
+            movable = [key for key in base.keys() if key not in kept.values()]
+            for key in movable[:9]:
+                waveform = base.decode_many([key])[0]
+                writer.put(
+                    key[0],
+                    key[1],
+                    CompaqtCompiler().compile_waveform(
+                        waveform.with_samples(0.9 * waveform.samples)
+                    ),
+                )
+                writer.commit()
+        wide = ShardedStore.open(root)
+        assert wide.shard_count == 13
+        reopens = default_registry().counter("store.mmap_reopens")
+        before = reopens.value
+        for _ in range(3):
+            assert len(wide.decode_many(wide.keys())) == len(wide)
+        assert reopens.value == before
+        assert wide.open_shard_handles == wide.shard_count
+        wide.close()
+        assert wide.open_shard_handles == 0
+        wide.read_record(*wide.keys()[0])
+        assert reopens.value == before + 1
+        assert wide.open_shard_handles == 1
+        wide.close()
 
     def test_store_context_manager(self, store):
         sharded, _ = store
@@ -343,9 +367,9 @@ class TestStoreFastPath:
             stats = cache.stats()
             assert stats.hits == 0 and stats.misses == 0  # not traffic
             key = sharded.keys()[0]
-            np.testing.assert_array_equal(
-                cache.get(*key).samples,
-                decompress_waveform(compiled.result(*key).compressed).samples,
+            assert_same_samples(
+                cache.get(*key),
+                decompress_waveform(compiled.result(*key).compressed),
             )
             assert cache.stats().hits == 1
         assert sharded.open_shard_handles == 0
@@ -367,9 +391,8 @@ class TestStoreFastPath:
         assert sharded.open_shard_handles == 0
         other = sharded.keys()[-1]
         waveform = server.fetch(*other)  # inline fill, pool remaps
-        np.testing.assert_array_equal(
-            waveform.samples,
-            decompress_waveform(compiled.result(*other).compressed).samples,
+        assert_same_samples(
+            waveform, decompress_waveform(compiled.result(*other).compressed)
         )
         server.close()
 

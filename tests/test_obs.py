@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.pipeline import decompress_waveform
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
 from repro.obs import (

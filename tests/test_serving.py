@@ -29,7 +29,6 @@ from repro.store import (
     PulseServer,
     StoreWriter,
     load_trace,
-    open_store,
     save_store,
     synthetic_trace,
     write_trace,

@@ -7,6 +7,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import CompressionError
+from repro.transforms.integer_dct import (
+    INVERSE_SHIFT,
+    _GEMM_MACS,
+    _rshift_round,
+    _saturate16,
+    int_dct_blocks,
+    int_idct_blocks,
+)
 from repro.transforms import (
     LOEFFLER_OP_COUNTS,
     SUPPORTED_SIZES,
@@ -153,6 +161,95 @@ class TestShiftAddEquivalence:
         for _ in range(5):
             y = rng.integers(-2000, 2000, size=n)
             np.testing.assert_array_equal(int_idct(y), int_idct_shift_add(y))
+
+
+def _int64_inverse(spectra):
+    """The int64 product the float kernel must reproduce bit for bit."""
+    x = np.asarray(spectra, dtype=np.int64) @ integer_dct_matrix(spectra.shape[1])
+    return _saturate16(_rshift_round(x, INVERSE_SHIFT))
+
+
+def _assert_kernel_exact(spectra):
+    got = int_idct_blocks(spectra)
+    want = _int64_inverse(spectra)
+    assert got.dtype == np.float64 and got.shape == spectra.shape
+    np.testing.assert_array_equal(got, want)
+    # Bytes, not values: an int converts to +0.0, so this also proves
+    # the float round-shift never yields -0.0.
+    assert got.tobytes() == want.astype(np.float64).tobytes()
+
+
+class TestBlockKernel:
+    """int_idct_blocks' float64 gemm equals the int64 product exactly."""
+
+    @pytest.mark.parametrize("n", SUPPORTED_SIZES)
+    @pytest.mark.parametrize(
+        "blocks, extra",
+        [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+        ids=["one-row", "block-1", "block", "block+1", "two-blocks+3"],
+    )
+    def test_random_int16_coefficients(self, n, blocks, extra):
+        rows = blocks * (_GEMM_MACS // (n * n)) + extra
+        rng = np.random.default_rng(1000 * n + rows)
+        spectra = rng.integers(-32768, 32768, size=(rows, n))
+        # Random coefficients mostly saturate; every other row is instead
+        # the forward transform of full-scale samples, whose large
+        # partial sums cancel to in-range codes, where any rounding in
+        # the gemm would show.
+        samples = rng.integers(-32768, 32768, size=(rows // 2, n))
+        spectra[1::2] = int_dct_blocks(samples)
+        _assert_kernel_exact(spectra)
+
+    @pytest.mark.parametrize("n", SUPPORTED_SIZES)
+    def test_extremes_reach_the_largest_sums(self, n):
+        """Full-scale rows, and rows signed like each column of H_N,
+        which drive that output to the largest magnitude any 16-bit
+        coefficients can reach."""
+        matrix = integer_dct_matrix(n)
+        positive = matrix.T > 0  # row j follows the signs of column j
+        spectra = np.vstack(
+            [
+                np.full((1, n), 32767),
+                np.full((1, n), -32768),
+                np.where(positive, 32767, -32768),
+                np.where(positive, -32768, 32767),
+                np.zeros((1, n), dtype=np.int64),
+            ]
+        )
+        assert np.array_equal(spectra.astype(np.int16), spectra)
+        _assert_kernel_exact(spectra)
+        pos = np.where(matrix > 0, matrix, 0).sum(axis=0)
+        neg = np.where(matrix < 0, -matrix, 0).sum(axis=0)
+        largest = np.maximum(32768 * pos + 32767 * neg, 32767 * pos + 32768 * neg)
+        np.testing.assert_array_equal(
+            np.abs(spectra @ matrix).max(axis=0), largest
+        )
+
+    def test_round_shift_to_zero_is_positive_zero(self):
+        # 64 * -5 + 36 * 8 = -32: the HEVC offset lands exactly on 0.
+        spectra = np.array([[-5, 0, 0, 8]])
+        assert _int64_inverse(spectra)[0, 0] == 0
+        _assert_kernel_exact(spectra)
+
+    @pytest.mark.parametrize("n", SUPPORTED_SIZES)
+    def test_out_of_range_input_matches_the_int64_product(self, n):
+        """Input no stored stream can carry, up to the documented
+        exactness bound of 2**40, takes the same gemm and stays exact."""
+        big = 2**40 - 1
+        spectra = np.zeros((5, n), dtype=np.int64)
+        spectra[0, 0] = 32768
+        spectra[1, 0] = -32769
+        spectra[2] = np.arange(n) - 40000
+        spectra[3] = big
+        spectra[4] = np.where(integer_dct_matrix(n)[:, 1] > 0, big, -big)
+        _assert_kernel_exact(spectra)
+
+    def test_empty_and_malformed_input(self):
+        assert int_idct_blocks(np.empty((0, 16), dtype=np.int64)).shape == (0, 16)
+        with pytest.raises(CompressionError):
+            int_idct_blocks(np.zeros(16))
+        with pytest.raises(CompressionError):
+            int_idct_blocks(np.zeros((2, 12)))
 
 
 class TestOpCounts:
