@@ -41,7 +41,10 @@ per-window dictionary entry).
 
 A **library container** (magic ``b"CQL1"``) carries the device name and
 compile configuration, then one length-prefixed waveform record per
-entry together with its gate/qubit binding, MSE and threshold.
+entry together with its gate/qubit binding, MSE and threshold.  One
+framer writes it (:func:`frame_library`): :func:`serialize_library_indexed`
+hands it freshly serialized records, the store's compaction copies
+existing records through it verbatim.
 
 **Versioning.**  The codec id byte is the registry's wire id
 (:func:`repro.compression.codecs.codec_for_wire_id`); ids 0..2 are the
@@ -73,7 +76,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -98,6 +101,7 @@ __all__ = [
     "parse_waveform_scalar",
     "serialize_library",
     "serialize_library_indexed",
+    "frame_library",
     "parse_library",
     "parse_library_scalar",
 ]
@@ -535,16 +539,10 @@ def serialize_library_indexed(
 
     Returns ``(blob, spans)`` where ``blob`` is exactly what
     :func:`serialize_library` produces and ``spans[i]`` locates entry
-    ``i``'s embedded waveform record inside it.
+    ``i``'s embedded waveform record inside it.  Each entry's waveform
+    is serialized, then framed by :func:`frame_library`.
     """
-    codec = _codec_for_name(library.variant)
-    writer = _Writer()
-    writer.raw(LIBRARY_MAGIC)
-    writer.pack("BB", codec.wire_id, 0)
-    writer.pack("I", library.window_size)
-    writer.string(library.device_name)
-    writer.pack("I", len(library.entries))
-    spans: List[RecordSpan] = []
+    records = []
     for entry in library.entries:
         # Fail at save time, not at a (possibly much later) load: the
         # container is single-variant, and the duplicated binding must
@@ -563,21 +561,56 @@ def serialize_library_indexed(
                 f"with its waveform record "
                 f"({entry.compressed.gate!r}, {entry.compressed.qubits})"
             )
-        writer.string(entry.gate)
-        if len(entry.qubits) > 0xFF:
-            raise CompressionError(
-                f"{len(entry.qubits)} qubits exceed the u8 count"
+        records.append(
+            (
+                entry.gate,
+                entry.qubits,
+                entry.mse,
+                entry.threshold,
+                serialize_waveform(entry.compressed),
             )
-        writer.pack("B", len(entry.qubits))
-        for qubit in entry.qubits:
+        )
+    return frame_library(
+        library.device_name, library.window_size, library.variant, records
+    )
+
+
+def frame_library(
+    device_name: str,
+    window_size: int,
+    variant: str,
+    records: Sequence[Tuple[str, Tuple[int, ...], float, float, bytes]],
+) -> Tuple[bytes, Tuple[RecordSpan, ...]]:
+    """Frame already-serialized waveform records as one container.
+
+    ``records`` holds ``(gate, qubits, mse, threshold, record)`` per
+    entry, where ``record`` is any bytes-like ``CQW1`` record; it is
+    copied verbatim behind its entry header.  Returns ``(blob, spans)``
+    as :func:`serialize_library_indexed` does.  The framer checks only
+    what it writes: the caller vouches that each record is valid and
+    bound to its entry (the store's compaction scans them first).
+    """
+    codec = _codec_for_name(variant)
+    writer = _Writer()
+    writer.raw(LIBRARY_MAGIC)
+    writer.pack("BB", codec.wire_id, 0)
+    writer.pack("I", window_size)
+    writer.string(device_name)
+    writer.pack("I", len(records))
+    spans: List[RecordSpan] = []
+    for gate, qubits, mse, threshold, record in records:
+        writer.string(gate)
+        if len(qubits) > 0xFF:
+            raise CompressionError(f"{len(qubits)} qubits exceed the u8 count")
+        writer.pack("B", len(qubits))
+        for qubit in qubits:
             writer.pack("H", qubit)
-        writer.pack("dd", entry.mse, entry.threshold)
-        record = serialize_waveform(entry.compressed)
+        writer.pack("dd", mse, threshold)
         writer.pack("I", len(record))
         spans.append(
             RecordSpan(
-                gate=entry.gate,
-                qubits=entry.qubits,
+                gate=gate,
+                qubits=qubits,
                 offset=writer.tell(),
                 length=len(record),
             )

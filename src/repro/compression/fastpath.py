@@ -66,6 +66,7 @@ __all__ = [
     "decode_record_bytes",
     "decode_records",
     "decode_library_bytes",
+    "scan_records",
 ]
 
 _TAG_SHIFT = 16
@@ -761,23 +762,14 @@ def decode_record_bytes(data) -> Waveform:
     return _decode_scans([scan], batch.finalize())[0]
 
 
-def decode_records(blobs: Sequence) -> List[Waveform]:
-    """Fused decode of many standalone ``CQW1`` records.
+def _scan_joined(blobs: Sequence) -> Tuple[List[_RecordScan], _ScanBatch]:
+    """Scan many standalone ``CQW1`` records out of one gather buffer.
 
-    The record blobs are packed into one gather buffer (one small copy
-    of already-compressed bytes), scanned, and decoded through one
-    grouped inverse kernel call per ``(codec, window size)``; entry
-    ``i`` is bit-identical to
-    ``decompress_waveform(parse_waveform(blobs[i]))``.
+    The blobs are joined once (one small copy of already-compressed
+    bytes): the word gather becomes a single pass for all records,
+    per-record cursors are reused, and the header walk always indexes
+    plain bytes even when the caller handed us mmap views.
     """
-    blobs = list(blobs)
-    if not blobs:
-        raise CompressionError("cannot decode an empty record list")
-    if len(blobs) == 1:
-        return [decode_record_bytes(blobs[0])]
-    # Join once: the word gather becomes a single pass for all records,
-    # per-record cursors are reused, and the header walk always indexes
-    # plain bytes even when the caller handed us mmap views.
     sizes = [len(blob) for blob in blobs]
     joined = b"".join(blobs)  # bytes.join accepts any buffer objects
     batch = _ScanBatch(_as_u8(joined))
@@ -790,6 +782,38 @@ def decode_records(blobs: Sequence) -> List[Waveform]:
         scan = _scan_record(cursor, batch)
         cursor.expect_end("waveform record")
         scans.append(scan)
+    return scans, batch
+
+
+def scan_records(blobs: Sequence) -> List[Tuple[str, Tuple[int, ...], Codec, int]]:
+    """Validate many standalone ``CQW1`` records without decoding them.
+
+    Runs the fused decoder's header scan and batched word pass -- every
+    check :func:`parse_waveform_fast` makes -- and builds no per-window
+    objects.  Returns each record's ``(gate, qubits, codec,
+    window_size)``; raises :class:`CompressionError` on the first
+    malformed record.  The store's compaction uses this to vouch for
+    the records it copies verbatim.
+    """
+    scans, batch = _scan_joined(list(blobs))
+    batch.finalize()
+    return [(scan.gate, scan.qubits, scan.codec, scan.window_size) for scan in scans]
+
+
+def decode_records(blobs: Sequence) -> List[Waveform]:
+    """Fused decode of many standalone ``CQW1`` records.
+
+    The records are scanned out of one gather buffer and decoded
+    through one grouped inverse kernel call per ``(codec, window
+    size)``; entry ``i`` is bit-identical to
+    ``decompress_waveform(parse_waveform(blobs[i]))``.
+    """
+    blobs = list(blobs)
+    if not blobs:
+        raise CompressionError("cannot decode an empty record list")
+    if len(blobs) == 1:
+        return [decode_record_bytes(blobs[0])]
+    scans, batch = _scan_joined(blobs)
     return _decode_scans(scans, batch.finalize())
 
 

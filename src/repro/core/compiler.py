@@ -29,7 +29,6 @@ from repro.compression.pipeline import (
     CodecLike,
     CompressionResult,
     DEFAULT_THRESHOLD,
-    compress_waveform,
 )
 from repro.core.fidelity_aware import DEFAULT_TARGET_MSE, fidelity_aware_compress
 from repro.pulses.library import PulseLibrary
@@ -264,7 +263,17 @@ class CompaqtCompiler:
         self.max_coefficients = max_coefficients
 
     def compile_waveform(self, waveform: Waveform) -> CompressionResult:
-        """Compress a single pulse under this configuration."""
+        """Compress a single pulse under this configuration.
+
+        Encodes through the batched engine
+        (:func:`repro.compression.batch.compress_batch`) as a batch of
+        one -- the recalibration loop's per-pulse path -- whose record
+        bytes, reconstructed samples and MSE are identical to the
+        scalar oracle
+        :func:`~repro.compression.pipeline.compress_waveform`.
+        Fidelity-aware mode needs a per-pulse threshold search and
+        stays scalar.
+        """
         if self.fidelity_aware:
             return fidelity_aware_compress(
                 waveform,
@@ -272,13 +281,13 @@ class CompaqtCompiler:
                 window_size=self.window_size,
                 codec=self.codec,
             )
-        return compress_waveform(
-            waveform,
+        return compress_batch(
+            [waveform],
             window_size=self.window_size,
             codec=self.codec,
             threshold=self.threshold,
             max_coefficients=self.max_coefficients,
-        )
+        )[0]
 
     def compile_library(self, library: PulseLibrary) -> CompressedPulseLibrary:
         """Compress every entry of a device's pulse library.
@@ -286,8 +295,10 @@ class CompaqtCompiler:
         The whole library is stacked into one window matrix and
         compressed in a single vectorized pass (see
         :func:`repro.compression.batch.compress_batch`), bit-identical
-        to :meth:`compile_waveform` pulse by pulse; fidelity-aware mode
-        needs a per-pulse threshold search and stays scalar.
+        to the scalar oracle
+        :func:`~repro.compression.pipeline.compress_waveform` pulse by
+        pulse; fidelity-aware mode needs a per-pulse threshold search
+        and stays scalar.
         """
         if len(library) == 0:
             raise CompressionError("cannot compile an empty pulse library")

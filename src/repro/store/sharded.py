@@ -78,6 +78,7 @@ from repro.compression.bitstream import (
     parse_library,
     parse_waveform,
 )
+from repro.compression.codecs import get_codec
 from repro.compression.fastpath import decode_records
 from repro.compression.pipeline import CompressedWaveform
 from repro.pulses.waveform import Waveform
@@ -299,6 +300,7 @@ class ShardedStore:
         window_size: int,
         n_shards: int,
         shard_files: Tuple[str, ...],
+        shard_sizes: Tuple[int, ...],
         index: Dict[_Key, StoreRecord],
         generation: int = 0,
         tombstones: Optional[Dict[_Key, int]] = None,
@@ -318,7 +320,11 @@ class ShardedStore:
         self.generation = generation
         #: Deleted keys -> the version at which they were deleted.
         self.tombstones: Dict[_Key, int] = dict(tombstones or {})
+        # The shard table and index as validated at open (or as just
+        # published by the writer, which builds the next generation's
+        # handle from them instead of reopening the directory).
         self._shard_files = shard_files
+        self._shard_sizes = shard_sizes
         self._index = index
         self._pool = _MmapPool(tuple(path / name for name in shard_files))
 
@@ -453,6 +459,7 @@ class ShardedStore:
             window_size=window_size,
             n_shards=n_shards,
             shard_files=tuple(shard_files),
+            shard_sizes=tuple(shard_sizes),
             index=index,
             generation=generation,
             tombstones=tombstones,
@@ -622,9 +629,34 @@ class ShardedStore:
     @staticmethod
     def _check_binding(key: _Key, gate: str, qubits: Tuple[int, ...]) -> None:
         if (gate, qubits) != key:
+            raise StoreError(f"record for {key} is bound to ({gate!r}, {qubits})")
+
+    def check_record(
+        self,
+        key: _Key,
+        gate: str,
+        qubits: Tuple[int, ...],
+        variant: str,
+        window_size: int,
+    ) -> None:
+        """Raise :class:`StoreError` unless a record belongs at ``key``.
+
+        It belongs when it is bound to ``key`` and encoded with this
+        store's codec at this store's window size.  A full-frame
+        codec's window is its pulse length, so only windowed codecs
+        compare window sizes.  Staging, the scrub and compaction all
+        hold records to this.
+        """
+        self._check_binding(key, gate, tuple(qubits))
+        if variant != self.variant:
             raise StoreError(
-                f"record at shard offset for {key} is bound to "
-                f"({gate!r}, {qubits})"
+                f"record for {key} is encoded with {variant!r}, the store "
+                f"with {self.variant!r}"
+            )
+        if window_size != self.window_size and get_codec(variant).windowed:
+            raise StoreError(
+                f"record for {key} has window size {window_size}, the store "
+                f"{self.window_size}"
             )
 
     def _spans_in_read_order(

@@ -5,9 +5,11 @@ directory, validate the manifest generation chain, re-check every shard
 file against its recorded size, and parse **every live record** through
 the fused parser (falling back to the scalar oracle on failure, so a
 fused/scalar divergence is reported as its own damage class rather
-than blamed on the disk).  The result is a structured
-:class:`VerifyReport` with a per-shard damage table; the CLI exits
-non-zero iff ``report.ok`` is false.
+than blamed on the disk) and hold it to its slot: bound to its key,
+encoded with the store's codec and window size
+(:meth:`~repro.store.ShardedStore.check_record`).  The result is a
+structured :class:`VerifyReport` with a per-shard damage table; the
+CLI exits non-zero iff ``report.ok`` is false.
 
 The scrub is read-only and snapshot-consistent: it opens the newest
 valid generation exactly like any reader and never touches a byte on
@@ -161,11 +163,13 @@ def verify_store(path: Union[str, pathlib.Path]) -> VerifyReport:
                     f"accepts): {fused_error}"
                 )
                 continue
-            if (parsed.gate, tuple(parsed.qubits)) != key:
-                shard_report.damage.append(
-                    f"{label}: record bound to ({parsed.gate!r}, "
-                    f"{parsed.qubits})"
+            try:
+                store.check_record(
+                    key, parsed.gate, parsed.qubits, parsed.variant,
+                    parsed.window_size,
                 )
+            except StoreError as exc:
+                shard_report.damage.append(f"{label}: {exc}")
         report.shards = shard_reports
     return report
 

@@ -9,18 +9,28 @@ adaptive layer recalibrates, and the controller's waveform memory must
 pick up new pulses *while serving*.  :class:`StoreWriter` publishes
 each later generation without ever breaking a concurrent reader:
 
-* **Staging.**  ``put`` / ``delete`` accumulate in memory.  ``commit``
-  serializes every staged record through the fused indexed serializer
-  into **one fresh shard file** (``shard-g<generation>.cql``) -- the
-  existing shard files are never rewritten, so a reader's pinned mmap
-  snapshot stays valid byte for byte.
+* **Staging.**  ``put`` / ``delete`` accumulate in memory; ``put``
+  rejects a record that is not bound to its key or not encoded with
+  the store's codec and window size.  ``commit`` serializes every
+  staged record through the fused indexed serializer into **one fresh
+  shard file** (``shard-g<generation>.cql``) -- the existing shard
+  files are never rewritten, so a reader's pinned mmap snapshot stays
+  valid byte for byte.
 
 * **Versioned manifests.**  Each commit publishes
-  ``manifest-<generation>.json`` (magic ``CQS2``): a generation
-  counter, the full live index with a per-record **version** (bumped on
-  every re-put), and **tombstones** for deletes.  Readers open the
-  newest *valid* generation; caches invalidate by (key, version) on
-  adoption (:meth:`repro.store.cache.PulseCache.adopt_store`).
+  ``manifest-<generation>.json`` (magic ``CQS2``, compact JSON): a
+  generation counter, the full live index with a per-record
+  **version** (bumped on every re-put), and **tombstones** for
+  deletes.  Readers open the newest *valid* generation; caches
+  invalidate by (key, version) on adoption
+  (:meth:`repro.store.cache.PulseCache.adopt_store`).
+
+* **No reopen.**  The handle a commit returns (and adopts as the
+  writer's next base) is built from the shard table and index rows
+  the commit just published: the base's records for untouched keys,
+  plus the staged rows validated exactly as ``ShardedStore.open``
+  validates them.  The only directory read after publishing is a
+  check that the newest manifest is the one just written.
 
 * **Atomic publish.**  Every file lands via temp-file + ``fsync`` +
   ``os.replace`` + directory ``fsync``.  The manifest rename is the
@@ -31,11 +41,15 @@ each later generation without ever breaking a concurrent reader:
   the README and the chaos harness's ``crash_commit`` fault enumerate
   every hook point below and assert exactly this.
 
-* **Compaction.**  ``compact`` re-encodes the live records through the
-  fused serializer into fresh hash-routed shard files -- the layout
-  :func:`save_store` writes -- drops tombstones and superseded bytes,
-  and publishes the result as a new generation under the very same
-  protocol -- crash-safe for free.
+* **Compaction.**  ``compact`` copies each live record's bytes
+  verbatim into fresh hash-routed shard files -- the layout
+  :func:`save_store` writes, byte for byte -- drops tombstones and
+  superseded bytes, and publishes the result as a new generation
+  under the very same protocol -- crash-safe for free.  Nothing is
+  re-encoded: every copied record first passes the fused decoder's
+  scan (no per-window objects) and the store's binding, codec and
+  window-size checks, and a damaged record fails the compaction with
+  a typed error before anything is published.
 
 The writer assumes a **single writer per store directory** (the usual
 control-stack arrangement: one recalibration loop, many readers).
@@ -49,14 +63,17 @@ import os
 import pathlib
 import threading
 from collections import Counter
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.errors import StoreError
 from repro.compression.bitstream import (
     LibraryBitstream,
     LibraryEntry,
+    RecordSpan,
+    frame_library,
     serialize_library_indexed,
 )
+from repro.compression.fastpath import scan_records
 from repro.store.atomic import fsync_dir
 from repro.store.hooks import preempt
 from repro.store.sharded import (
@@ -73,6 +90,8 @@ from repro.store.sharded import (
 __all__ = ["COMMIT_HOOK_POINTS", "COMPACT_HOOK_POINTS", "StoreWriter", "save_store"]
 
 _Key = Tuple[str, Tuple[int, ...]]
+#: Turns a shard's slots into its container bytes and record spans.
+_Framer = Callable[[list], Tuple[bytes, Tuple[RecordSpan, ...]]]
 
 #: Every yield point the commit protocol passes through, in order.  The
 #: chaos harness and the crash property tests abort at each one and
@@ -127,9 +146,9 @@ def save_store(
             legal (they serialize as zero-entry containers).
 
     Returns:
-        The opened :class:`ShardedStore` (reads go through the same
-        code path every other client uses, so a just-written store is
-        verified openable).
+        A :class:`ShardedStore` on generation 1, built from the shard
+        table and index rows just published (validated as
+        ``ShardedStore.open`` validates them, without reopening).
     """
     if n_shards < 1:
         raise StoreError(f"n_shards must be >= 1, got {n_shards}")
@@ -146,15 +165,14 @@ def save_store(
     records = [
         (_library_entry(normalize_key(*key), result), 1) for key, result in compiled
     ]
-    blobs, shard_table, index_rows = _hash_routed_shards(
-        compiled, records, n_shards, generation=1
+    blobs, index_rows = _hash_routed_shards(
+        records, n_shards, 1, _serializer(compiled)
     )
-    _publish_generation(
+    return _publish_generation(
         root, compiled, n_shards, generation=1, parent_generation=0,
-        blobs=blobs, shard_table=shard_table, index_rows=index_rows,
+        base_shards=[], blobs=blobs, kept={}, index_rows=index_rows,
         tombstones={},
     )
-    return ShardedStore.open(root)
 
 
 class StoreWriter:
@@ -208,17 +226,21 @@ class StoreWriter:
         """Stage one new or updated pulse.
 
         ``result`` is a :class:`~repro.compression.pipeline.CompressionResult`
-        (what the compiler emits); its compressed record must be bound
-        to the same (gate, qubits) it is stored under -- enforced here
-        and again by the serializer at commit.
+        (what the compiler emits).  Its compressed record must be bound
+        to the same (gate, qubits) it is stored under and encoded with
+        the store's codec and (for windowed codecs) window size
+        (:meth:`ShardedStore.check_record`); otherwise
+        :class:`StoreError`, and nothing is staged.
         """
         key = normalize_key(gate, qubits)
         compressed = result.compressed
-        if (compressed.gate, tuple(compressed.qubits or ())) != key:
-            raise StoreError(
-                f"staged record for {key} is bound to "
-                f"({compressed.gate!r}, {compressed.qubits})"
-            )
+        self._store.check_record(
+            key,
+            compressed.gate,
+            compressed.qubits or (),
+            compressed.variant,
+            compressed.window_size,
+        )
         with self._lock:
             self._puts[key] = result
             self._deletes.discard(key)
@@ -250,10 +272,11 @@ class StoreWriter:
         """Publish every staged mutation as one new generation.
 
         Returns a read handle on the new generation (also adopted as
-        the writer's base).  A no-op commit (nothing staged) returns
-        the current base unchanged.  On any failure -- including an
-        injected crash -- the store directory still opens as either the
-        old or the new generation.
+        the writer's base), built from the rows just published.  A
+        no-op commit (nothing staged) returns the current base
+        unchanged.  On any failure -- including an injected crash --
+        the store directory still opens as either the old or the new
+        generation.
         """
         with self._lock:
             if not self._puts and not self._deletes:
@@ -262,68 +285,66 @@ class StoreWriter:
             generation = base.generation + 1
             preempt("writer.commit.begin")
 
-            base_files = [base.shard_path(s).name for s in range(base.shard_count)]
+            puts, deletes = self._puts, self._deletes
+            kept = {
+                key: record
+                for key, record in base._index.items()
+                if key not in puts and key not in deletes
+            }
             staged = []
-            for key in sorted(self._puts):
-                if key in base:
-                    version = base.record_info(*key).version + 1
-                else:
-                    version = base.tombstones.get(key, 0) + 1
-                staged.append((_library_entry(key, self._puts[key]), version))
-            index_rows = [
-                _entry_row(base.record_info(*key))
-                for key in base.keys()
-                if key not in self._puts and key not in self._deletes
-            ]
+            for key in sorted(puts):
+                held = base._index.get(key)
+                version = (
+                    held.version if held is not None else base.tombstones.get(key, 0)
+                ) + 1
+                staged.append((_library_entry(key, puts[key]), version))
             blobs: Dict[str, bytes] = {}
+            index_rows: List[Dict] = []
             if staged:
-                blob, rows = _shard_file(base, len(base_files), staged)
+                blob, index_rows = _shard_file(
+                    base.shard_count, staged, _serializer(base)
+                )
                 blobs[_staged_shard_name(generation)] = blob
-                index_rows += rows
             preempt("writer.commit.staged")
 
             tombstones = {
                 key: version
                 for key, version in base.tombstones.items()
-                if key not in self._puts
+                if key not in puts
             }
-            for key in sorted(self._deletes):
+            for key in sorted(deletes):
                 tombstones[key] = base.record_info(*key).version + 1
 
-            live = Counter(row["shard"] for row in index_rows)
-            sizes = [(self.path / name).stat().st_size for name in base_files]
-            sizes += [len(blob) for blob in blobs.values()]
-            shard_table = [
-                {"file": name, "n_entries": live[position], "n_bytes": size}
-                for position, (name, size) in enumerate(
-                    zip(base_files + list(blobs), sizes)
-                )
-            ]
-            _publish_generation(
+            base_shards = list(zip(base._shard_files, base._shard_sizes))
+            fresh = _publish_generation(
                 self.path, base, base.n_shards, generation, base.generation,
-                blobs, shard_table, index_rows, tombstones,
+                base_shards=base_shards, blobs=blobs, kept=kept,
+                index_rows=index_rows, tombstones=tombstones,
             )
             preempt("writer.commit.cleanup")
             self._cleanup(
-                keep_files=set(base_files) | set(blobs),
+                keep_files=set(base._shard_files) | set(blobs),
                 parent_generation=base.generation,
             )
             self._puts.clear()
             self._deletes.clear()
-            return self._rebase(generation)
+            return self._adopt(fresh)
 
     # -- compaction ----------------------------------------------------------
 
     def compact(self) -> ShardedStore:
-        """Re-encode live records into fresh shards; drop dead bytes.
+        """Copy live records into fresh shards; drop dead bytes.
 
         Publishes a new generation whose shard table is exactly
-        ``n_shards`` hash-routed files rebuilt through the fused
-        serializer: superseded record bytes and tombstones are gone,
+        ``n_shards`` hash-routed files, each live record's bytes copied
+        verbatim -- the files :func:`save_store` would write for the
+        same records: superseded record bytes and tombstones are gone,
         per-record versions are preserved (compaction moves bytes, it
-        does not change logical content, so caches stay valid).
-        Requires a clean slate -- commit or discard staged mutations
-        first.
+        does not change logical content, so caches stay valid).  Every
+        record is scanned and checked against its key before anything
+        is published; a damaged one raises a typed
+        :class:`~repro.errors.ReproError`.  Requires a clean slate --
+        commit or discard staged mutations first.
         """
         with self._lock:
             if self._puts or self._deletes:
@@ -334,33 +355,22 @@ class StoreWriter:
             generation = base.generation + 1
             preempt("writer.compact.begin")
 
-            keys = base.keys()
-            records = []
-            for key, compressed in zip(keys, base.read_many(keys)):
-                info = base.record_info(*key)
-                entry = LibraryEntry(
-                    gate=key[0],
-                    qubits=key[1],
-                    mse=info.mse,
-                    threshold=info.threshold,
-                    compressed=compressed,
-                )
-                records.append((entry, info.version))
-            blobs, shard_table, index_rows = _hash_routed_shards(
-                base, records, base.n_shards, generation
+            records = [(record, record.version) for record in base._index.values()]
+            blobs, index_rows = _hash_routed_shards(
+                records, base.n_shards, generation, _verbatim(base)
             )
             preempt("writer.compact.staged")
-            _publish_generation(
+            fresh = _publish_generation(
                 self.path, base, base.n_shards, generation, base.generation,
-                blobs, shard_table, index_rows, {},
+                base_shards=[], blobs=blobs, kept={}, index_rows=index_rows,
+                tombstones={},
             )
             preempt("writer.compact.cleanup")
-            base_files = [base.shard_path(s).name for s in range(base.shard_count)]
             self._cleanup(
-                keep_files=set(blobs) | set(base_files),
+                keep_files=set(blobs) | set(base._shard_files),
                 parent_generation=base.generation,
             )
-            return self._rebase(generation)
+            return self._adopt(fresh)
 
     # -- cleanup -------------------------------------------------------------
 
@@ -384,12 +394,22 @@ class StoreWriter:
         for orphan in self.path.glob("*.tmp-*"):
             orphan.unlink(missing_ok=True)
 
-    def _rebase(self, expected_generation: int) -> ShardedStore:
-        fresh = ShardedStore.open(self.path)
-        if fresh.generation != expected_generation:
+    def _adopt(self, fresh: ShardedStore) -> ShardedStore:
+        """Make the just-published generation the writer's base.
+
+        ``fresh`` was built from the rows this writer published, so the
+        directory is not reopened; it is only asked whether its newest
+        manifest is still that generation.  If another one landed on
+        top, the writer's base would silently fall behind it, so the
+        commit fails instead.
+        """
+        manifests = list_generation_manifests(self.path)
+        newest = manifests[0][0] if manifests else None
+        if newest != fresh.generation:
+            fresh.close()
             raise StoreError(
-                f"published generation {expected_generation} but the "
-                f"directory reopened as generation {fresh.generation}"
+                f"published generation {fresh.generation} but the "
+                f"directory's newest manifest is generation {newest}"
             )
         old, self._store = self._store, fresh
         old.close()
@@ -410,67 +430,111 @@ def _library_entry(key: _Key, result) -> LibraryEntry:
     )
 
 
-def _shard_file(
-    source, shard: int, records: List[Tuple[LibraryEntry, int]]
-) -> Tuple[bytes, List[Dict]]:
-    """Serialize ``(entry, version)`` records as shard file ``shard``.
+def _serializer(source) -> _Framer:
+    """Frame compiled :class:`LibraryEntry` slots, serializing each one.
 
     ``source`` carries the library metadata (a :class:`ShardedStore`
-    or a compiled library).  Returns the file's bytes and its records'
-    manifest index rows.
+    or a compiled library).
     """
-    blob, spans = serialize_library_indexed(
-        LibraryBitstream(
-            device_name=source.device_name,
-            window_size=source.window_size,
-            variant=source.variant,
-            entries=tuple(entry for entry, _version in records),
+
+    def frame(entries: list) -> Tuple[bytes, Tuple[RecordSpan, ...]]:
+        return serialize_library_indexed(
+            LibraryBitstream(
+                device_name=source.device_name,
+                window_size=source.window_size,
+                variant=source.variant,
+                entries=tuple(entries),
+            )
         )
-    )
+
+    return frame
+
+
+def _verbatim(base: ShardedStore) -> _Framer:
+    """Frame ``base``'s live :class:`StoreRecord` slots by copying bytes.
+
+    Each record's span is copied out of ``base``'s mapping untouched,
+    so the container is byte-identical to re-serializing the parsed
+    record.  Before framing, every record passes the fused decoder's
+    scan and word pass (:func:`~repro.compression.fastpath.scan_records`)
+    and :meth:`ShardedStore.check_record` against its manifest key:
+    compaction must not carry damage into a generation that looks
+    freshly written.
+    """
+
+    def frame(records: list) -> Tuple[bytes, Tuple[RecordSpan, ...]]:
+        views = [base._read_span(record) for record in records]
+        for record, (gate, qubits, codec, window_size) in zip(
+            records, scan_records(views)
+        ):
+            base.check_record(
+                (record.gate, record.qubits), gate, qubits, codec.name, window_size
+            )
+        return frame_library(
+            base.device_name,
+            base.window_size,
+            base.variant,
+            [
+                (record.gate, record.qubits, record.mse, record.threshold, view)
+                for record, view in zip(records, views)
+            ],
+        )
+
+    return frame
+
+
+def _shard_file(
+    shard: int, records: Sequence[Tuple[object, int]], frame: _Framer
+) -> Tuple[bytes, List[Dict]]:
+    """Frame ``(slot, version)`` records as shard file ``shard``.
+
+    A slot is anything with ``gate``, ``qubits``, ``mse`` and
+    ``threshold`` that ``frame`` accepts.  Returns the file's bytes and
+    its records' manifest index rows.
+    """
+    blob, spans = frame([slot for slot, _version in records])
     rows = [
         _entry_row(
             StoreRecord(
-                gate=entry.gate,
-                qubits=entry.qubits,
+                gate=slot.gate,
+                qubits=slot.qubits,
                 shard=shard,
                 offset=span.offset,
                 length=span.length,
-                mse=entry.mse,
-                threshold=entry.threshold,
+                mse=slot.mse,
+                threshold=slot.threshold,
                 version=version,
             )
         )
-        for (entry, version), span in zip(records, spans)
+        for (slot, version), span in zip(records, spans)
     ]
     return blob, rows
 
 
 def _hash_routed_shards(
-    source, records: List[Tuple[LibraryEntry, int]], n_shards: int, generation: int
-) -> Tuple[Dict[str, bytes], List[Dict], List[Dict]]:
-    """Serialize ``(entry, version)`` records into ``n_shards`` files.
+    records: Sequence[Tuple[object, int]],
+    n_shards: int,
+    generation: int,
+    frame: _Framer,
+) -> Tuple[Dict[str, bytes], List[Dict]]:
+    """Frame ``(slot, version)`` records into ``n_shards`` files.
 
-    Each record goes to shard ``shard_index(gate, qubits, n_shards)``.
-    Returns the new files' bytes by name, plus the shard table and the
-    index rows of generation ``generation``'s manifest.
+    Each record goes to shard ``shard_index(gate, qubits, n_shards)``,
+    in the order given.  Returns generation ``generation``'s new files'
+    bytes by name, plus their index rows.
     """
-    by_shard: List[List[Tuple[LibraryEntry, int]]] = [[] for _ in range(n_shards)]
-    for entry, version in records:
-        by_shard[shard_index(entry.gate, entry.qubits, n_shards)].append(
-            (entry, version)
+    by_shard: List[list] = [[] for _ in range(n_shards)]
+    for slot, version in records:
+        by_shard[shard_index(slot.gate, slot.qubits, n_shards)].append(
+            (slot, version)
         )
     blobs: Dict[str, bytes] = {}
-    shard_table: List[Dict] = []
     index_rows: List[Dict] = []
     for shard, members in enumerate(by_shard):
-        blob, rows = _shard_file(source, shard, members)
-        name = _routed_shard_name(generation, shard)
-        blobs[name] = blob
-        shard_table.append(
-            {"file": name, "n_entries": len(members), "n_bytes": len(blob)}
-        )
+        blob, rows = _shard_file(shard, members, frame)
+        blobs[_routed_shard_name(generation, shard)] = blob
         index_rows += rows
-    return blobs, shard_table, index_rows
+    return blobs, index_rows
 
 
 def _publish(
@@ -504,16 +568,29 @@ def _publish_generation(
     n_shards: int,
     generation: int,
     parent_generation: int,
+    *,
+    base_shards: List[Tuple[str, int]],
     blobs: Dict[str, bytes],
-    shard_table: List[Dict],
+    kept: Dict[_Key, StoreRecord],
     index_rows: List[Dict],
     tombstones: Dict[_Key, int],
-) -> None:
+) -> ShardedStore:
     """Publish a generation's new shard files, then its manifest.
 
-    The manifest rename is the commit point: until it lands, the
-    directory still opens as the parent generation.
+    The shard table is ``base_shards`` (existing ``(file, n_bytes)``
+    pairs) followed by ``blobs``; the index is ``kept`` (already
+    validated records) followed by the new ``index_rows``, which are
+    validated against the new table before anything is written.  The
+    manifest rename is the commit point: until it lands, the directory
+    still opens as the parent generation.  Returns the new
+    generation's handle, built from exactly what was published.
     """
+    shards = base_shards + [(name, len(blob)) for name, blob in blobs.items()]
+    sizes = tuple(size for _name, size in shards)
+    index = dict(kept)
+    index.update(ShardedStore._validate_entries(index_rows, sizes, versioned=True))
+    live = Counter(record.shard for record in index.values())
+    tombstones = dict(sorted(tombstones.items()))
     for name, blob in blobs.items():
         _publish(root, name, blob, "writer.shard.tmp_written", "writer.shard.published")
     manifest = {
@@ -525,20 +602,35 @@ def _publish_generation(
         "variant": source.variant,
         "window_size": source.window_size,
         "n_shards": n_shards,
-        "n_entries": len(index_rows),
-        "shards": shard_table,
-        "entries": index_rows,
+        "n_entries": len(index),
+        "shards": [
+            {"file": name, "n_entries": live[position], "n_bytes": size}
+            for position, (name, size) in enumerate(shards)
+        ],
+        "entries": [_entry_row(record) for record in kept.values()] + index_rows,
         "tombstones": [
             {"gate": key[0], "qubits": list(key[1]), "version": version}
-            for key, version in sorted(tombstones.items())
+            for key, version in tombstones.items()
         ],
     }
     _publish(
         root,
         generation_manifest_name(generation),
-        (json.dumps(manifest, indent=1) + "\n").encode("utf-8"),
+        (json.dumps(manifest) + "\n").encode("utf-8"),
         "writer.manifest.tmp_written",
         "writer.manifest.published",
+    )
+    return ShardedStore(
+        path=root,
+        device_name=source.device_name,
+        variant=source.variant,
+        window_size=source.window_size,
+        n_shards=n_shards,
+        shard_files=tuple(name for name, _size in shards),
+        shard_sizes=sizes,
+        index=index,
+        generation=generation,
+        tombstones=tombstones,
     )
 
 

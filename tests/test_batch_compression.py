@@ -24,8 +24,10 @@ from repro.compression.pipeline import (
     inverse_transform_blocks,
     inverse_transform,
 )
-from repro.core import CompaqtCompiler
-from repro.devices import fluxonium_device, ibm_device
+from repro.compression.bitstream import serialize_waveform
+from repro.compression.codecs import get_codec
+from repro.core import CompaqtCompiler, DriftModel
+from repro.devices import fluxonium_device, google_device, ibm_device
 from repro.transforms.rle import rle_encode_blocks, rle_encode_window
 from repro.transforms.threshold import (
     hard_threshold,
@@ -33,6 +35,7 @@ from repro.transforms.threshold import (
     trailing_zero_run,
     trailing_zero_runs,
 )
+from sample_identity import assert_same_samples
 
 WINDOW_SIZES = (8, 16, 32)
 #: Every registered codec: the DCT family plus the promoted baselines.
@@ -100,9 +103,69 @@ class TestDeviceParity:
         compiler = CompaqtCompiler(window_size=16)
         batched = compiler.compile_library(library)
         for key in library.keys():
-            scalar = compiler.compile_waveform(library.waveform(*key))
+            scalar = compress_waveform(library.waveform(*key), window_size=16)
             assert batched.result(*key).compressed == scalar.compressed
             assert batched.result(*key).mse == scalar.mse
+
+
+#: compile_waveform configurations held to the scalar oracle: every
+#: codec family, plus a zero threshold and the top-k cap.
+COMPILE_CONFIGS = {
+    "int-DCT-W": dict(codec="int-DCT-W"),
+    "DCT-W": dict(codec="DCT-W"),
+    "DCT-N": dict(codec="DCT-N"),
+    "delta": dict(codec="delta"),
+    "int-DCT-W-threshold0": dict(codec="int-DCT-W", threshold=0),
+    "DCT-W-top2": dict(codec="DCT-W", max_coefficients=2),
+}
+
+
+class TestCompileWaveformConformance:
+    """``compile_waveform`` encodes a batch of one; the scalar
+    ``compress_waveform`` stays the oracle it must reproduce."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            lambda: ibm_device("washington").pulse_library(),
+            lambda: google_device(6, 9).pulse_library(),
+        ],
+        ids=["washington", "google-6x9"],
+    )
+    def pulses(self, request):
+        """Ten seeded pulses of the device, each original and drifted."""
+        library = request.param()
+        keys = library.keys()
+        rng = np.random.default_rng(21)
+        model = DriftModel(seed=21)
+        out = []
+        for step, index in enumerate(rng.choice(len(keys), 10, replace=False), 1):
+            original = library.waveform(*keys[index])
+            out += [original, model.drifted(original, step)]
+        return out
+
+    @pytest.mark.parametrize("config", COMPILE_CONFIGS.values(), ids=COMPILE_CONFIGS)
+    def test_matches_scalar_oracle(self, pulses, config):
+        compiler = CompaqtCompiler(window_size=16, **config)
+        for waveform in pulses:
+            got = compiler.compile_waveform(waveform)
+            want = compress_waveform(waveform, window_size=16, **config)
+            assert serialize_waveform(got.compressed) == serialize_waveform(
+                want.compressed
+            )
+            assert_same_samples(got.reconstructed, want.reconstructed)
+            assert float(got.mse).hex() == float(want.mse).hex()
+            assert got.threshold == want.threshold
+
+    def test_raises_what_the_scalar_oracle_raises(self, pulses):
+        stray = type(get_codec("delta"))()  # same name, never registered
+        for bad in (dict(threshold=-1), dict(window_size=12), dict(codec=stray)):
+            config = {"window_size": 16, **bad}
+            with pytest.raises(CompressionError) as scalar:
+                compress_waveform(pulses[0], **config)
+            with pytest.raises(CompressionError) as compiled:
+                CompaqtCompiler(**config).compile_waveform(pulses[0])
+            assert str(compiled.value) == str(scalar.value)
 
 
 class TestBatchResult:

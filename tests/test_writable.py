@@ -3,16 +3,23 @@ recovery at every hook point, manifest fuzzing, snapshot adoption, and
 the scrub tool."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError, StoreError
-from repro.compression import decompress_waveform
-from repro.core import CompaqtCompiler
+from repro.errors import CompressionError, ReproError, StoreError
+from repro.compression import decompress_waveform, fastpath
+from repro.compression.bitstream import (
+    LibraryBitstream,
+    LibraryEntry,
+    serialize_library_indexed,
+)
+from repro.core import CompaqtCompiler, CompressedPulseLibrary
 from repro.devices import ibm_device
+from repro.pulses import Waveform
 from repro.store import (
     COMMIT_HOOK_POINTS,
     COMPACT_HOOK_POINTS,
@@ -28,8 +35,9 @@ from repro.store import (
     verify_store,
 )
 from repro.store.hooks import set_preempt_hook
-from repro.store.sharded import list_generation_manifests
+from repro.store.sharded import list_generation_manifests, shard_index
 from repro.store.verify import format_report
+from repro.transforms.rle import EncodedWindow
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,85 @@ def _recalibrated(store, key, roll=1, scale=0.9):
     return CompaqtCompiler().compile_waveform(
         waveform.with_samples(np.roll(waveform.samples, roll) * scale)
     )
+
+
+def _assert_same_as_reopened(handle, root):
+    """``handle`` equals a fresh ``ShardedStore.open(root)`` field by field."""
+    reopened = ShardedStore.open(root)
+    try:
+        for attr in ("generation", "n_shards", "device_name", "variant", "window_size"):
+            assert getattr(handle, attr) == getattr(reopened, attr), attr
+        assert [handle.shard_path(s).name for s in range(handle.shard_count)] == [
+            reopened.shard_path(s).name for s in range(reopened.shard_count)
+        ]
+        assert handle.keys() == reopened.keys()
+        for key in reopened.keys():
+            got, want = handle.record_info(*key), reopened.record_info(*key)
+            assert got == want
+            # Exact floats: == would let a sign-flipped zero through.
+            assert (got.mse.hex(), got.threshold.hex()) == (
+                want.mse.hex(),
+                want.threshold.hex(),
+            )
+            assert handle.read_record_bytes(*key) == reopened.read_record_bytes(*key)
+        assert handle.tombstones == reopened.tombstones
+    finally:
+        reopened.close()
+
+
+def _reencoded_shards(store):
+    """The compaction the writer used to run, kept as the oracle: parse
+    every live record, then serialize it again into hash-routed files."""
+    by_shard = [[] for _ in range(store.n_shards)]
+    keys = store.keys()
+    for key, compressed in zip(keys, store.read_many(keys)):
+        info = store.record_info(*key)
+        by_shard[shard_index(*key, store.n_shards)].append(
+            LibraryEntry(
+                gate=key[0],
+                qubits=key[1],
+                mse=info.mse,
+                threshold=info.threshold,
+                compressed=compressed,
+            )
+        )
+    return [
+        serialize_library_indexed(
+            LibraryBitstream(
+                device_name=store.device_name,
+                window_size=store.window_size,
+                variant=store.variant,
+                entries=tuple(entries),
+            )
+        )[0]
+        for entries in by_shard
+    ]
+
+
+def _with_window_8_record(compiled):
+    """``compiled`` with its first pulse encoded at window size 8: a
+    record no store of window size 16 may hold."""
+    mixed = CompressedPulseLibrary(
+        device_name=compiled.device_name,
+        window_size=compiled.window_size,
+        variant=compiled.variant,
+    )
+    for key, result in compiled:
+        mixed.add(key, result)
+    key = compiled.keys()[0]
+    narrow = CompaqtCompiler(window_size=8)
+    mixed.add(key, narrow.compile_waveform(compiled.waveform(*key)))
+    return mixed, key
+
+
+def _first_word_offset(record: bytes) -> int:
+    """Offset of a CQW1 record's first memory word (I channel, window 0)."""
+    offset = 10  # magic, codec id, flags, window size
+    for _field in ("name", "gate"):
+        (length,) = struct.unpack_from("<H", record, offset)
+        offset += 2 + length
+    offset += 1 + 2 * record[offset]  # qubit count and indices
+    return offset + 8 + 8 + 2  # dt, channel length and window count, header
 
 
 class _Crash(Exception):
@@ -100,6 +187,38 @@ class TestStaging:
             result = _recalibrated(writer.store, other)
             with pytest.raises(StoreError, match="bound to"):
                 writer.put(key[0], key[1], result)
+
+    def test_put_rejects_another_window_size(self, store_dir, tmp_path):
+        with StoreWriter(store_dir) as writer:
+            key = writer.store.keys()[0]
+            waveform = writer.store.decode_many([key])[0]
+            foreign = CompaqtCompiler(window_size=8).compile_waveform(waveform)
+            with pytest.raises(StoreError, match="window size 8"):
+                writer.put(key[0], key[1], foreign)
+            assert writer.pending == 0
+        # A full-frame codec's window is its pulse length: only
+        # windowed codecs compare window sizes.
+        library = ibm_device("bogota").pulse_library()
+        full_frame = CompaqtCompiler(window_size=16, codec="DCT-N")
+        root = tmp_path / "dct-n.cqs"
+        save_store(full_frame.compile_library(library), root, n_shards=2).close()
+        with StoreWriter(root) as writer:
+            waveform = library.waveform(*key)
+            writer.put(key[0], key[1], full_frame.compile_waveform(waveform))
+            assert writer.commit().generation == 2
+        assert verify_store(root).ok
+
+    def test_put_rejects_another_codec(self, store_dir):
+        with StoreWriter(store_dir) as writer:
+            key = writer.store.keys()[0]
+            waveform = writer.store.decode_many([key])[0]
+            foreign = CompaqtCompiler(window_size=16, codec="DCT-W").compile_waveform(
+                waveform
+            )
+            with pytest.raises(StoreError, match="'DCT-W'"):
+                writer.put(key[0], key[1], foreign)
+            assert writer.pending == 0
+            assert writer.commit().generation == 1
 
     def test_delete_unknown_key_raises(self, store_dir):
         with StoreWriter(store_dir) as writer:
@@ -221,6 +340,193 @@ class TestCompact:
                 )
                 assert compacted.record_info(*key).version == versions[key]
         assert verify_store(store_dir).ok
+
+
+class TestPublishedHandles:
+    """The handle a publish returns is built from the rows it wrote;
+    it must be indistinguishable from reopening the directory."""
+
+    def test_every_handle_equals_a_reopened_store(self, compiled, tmp_path):
+        root = tmp_path / "handles.cqs"
+        saved = save_store(compiled, root, n_shards=3)
+        _assert_same_as_reopened(saved, root)
+        saved.close()
+        with StoreWriter(root) as writer:
+            keys = writer.store.keys()
+            template = writer.store.decode_many([keys[0]])[0]
+            newcomer = Waveform(
+                name="probe", samples=template.samples * 0.5, dt=template.dt,
+                gate="probe", qubits=(0,),
+            )
+            removed = writer.store.decode_many([keys[2]])[0]
+            steps = [
+                lambda: writer.put(
+                    "probe", (0,), CompaqtCompiler().compile_waveform(newcomer)
+                ),
+                lambda: writer.put(
+                    keys[1][0], keys[1][1], _recalibrated(writer.store, keys[1])
+                ),
+                lambda: writer.delete(*keys[2]),
+                lambda: writer.put(
+                    keys[2][0], keys[2][1],
+                    CompaqtCompiler().compile_waveform(
+                        removed.with_samples(np.roll(removed.samples, 3) * 0.8)
+                    ),
+                ),
+            ]
+            for stage in steps:
+                stage()
+                handle = writer.commit()
+                assert handle is writer.store
+                _assert_same_as_reopened(handle, root)
+            assert handle.record_info("probe", (0,)).version == 1
+            assert handle.record_info(*keys[2]).version == 3
+            compacted = writer.compact()
+            assert compacted is writer.store
+            _assert_same_as_reopened(compacted, root)
+
+    def test_commit_and_compact_never_reopen(self, store_dir, monkeypatch):
+        calls = []
+        real_open = ShardedStore.open.__func__
+        real_loads = json.loads
+
+        def counting_open(cls, path):
+            calls.append("ShardedStore.open")
+            return real_open(cls, path)
+
+        def counting_loads(*args, **kwargs):
+            calls.append("json.loads")
+            return real_loads(*args, **kwargs)
+
+        with StoreWriter(store_dir) as writer:
+            key = writer.store.keys()[0]
+            result = _recalibrated(writer.store, key)
+            monkeypatch.setattr(ShardedStore, "open", classmethod(counting_open))
+            monkeypatch.setattr(json, "loads", counting_loads)
+            writer.put(key[0], key[1], result)
+            writer.commit()
+            writer.compact()
+        assert calls == []
+
+    def test_a_newer_generation_on_top_fails_the_commit(self, store_dir):
+        def publish_on_top(point):
+            if point != "writer.commit.cleanup":
+                return
+            generation, path = list_generation_manifests(store_dir)[0]
+            manifest = json.loads(path.read_text())
+            manifest["generation"] = generation + 1
+            manifest["parent_generation"] = generation
+            (store_dir / generation_manifest_name(generation + 1)).write_text(
+                json.dumps(manifest)
+            )
+
+        with StoreWriter(store_dir) as writer:
+            key = writer.store.keys()[0]
+            writer.put(key[0], key[1], _recalibrated(writer.store, key))
+            previous = set_preempt_hook(publish_on_top)
+            try:
+                with pytest.raises(StoreError, match="published generation 2"):
+                    writer.commit()
+            finally:
+                set_preempt_hook(previous)
+            assert writer.generation == 1
+        with ShardedStore.open(store_dir) as reopened:
+            assert reopened.generation == 3
+
+
+class TestVerbatimCompaction:
+    def test_shards_equal_the_reencode_path(self, store_dir, monkeypatch):
+        windows = []
+        post_init = EncodedWindow.__post_init__
+        make_window = fastpath._make_window
+
+        def counting_post_init(window):
+            windows.append(window)
+            post_init(window)
+
+        def counting_make_window(*args):
+            windows.append(args)
+            return make_window(*args)
+
+        with StoreWriter(store_dir) as writer:
+            for step in range(1, 23):
+                live = writer.store.keys()
+                key = live[step % len(live)]
+                writer.put(key[0], key[1], _recalibrated(writer.store, key, roll=step))
+                if step % 7 == 0:
+                    writer.delete(*live[(step + 5) % len(live)])
+                writer.commit()
+            assert writer.generation == 23
+            want = _reencoded_shards(writer.store)
+            monkeypatch.setattr(EncodedWindow, "__post_init__", counting_post_init)
+            monkeypatch.setattr(fastpath, "_make_window", counting_make_window)
+            compacted = writer.compact()
+            assert windows == []
+            got = [
+                compacted.shard_path(s).read_bytes()
+                for s in range(compacted.shard_count)
+            ]
+            assert got == want
+            # The counters do see the re-encode path's windows.
+            _reencoded_shards(compacted)
+            assert windows
+
+    @pytest.mark.parametrize(
+        "damage, error, match",
+        [
+            ("reserved_bit", CompressionError, "reserved bits"),
+            ("binding", StoreError, "bound to"),
+            ("window_size", StoreError, "window size 8"),
+        ],
+    )
+    def test_damaged_record_fails_before_publishing(
+        self, compiled, tmp_path, damage, error, match
+    ):
+        root = tmp_path / "damaged.cqs"
+        if damage == "window_size":
+            compiled, _key = _with_window_8_record(compiled)
+        save_store(compiled, root, n_shards=3).close()
+        store = ShardedStore.open(root)
+        first, second = store.keys()[:2]
+        info = store.record_info(*first)
+        shard_path = store.shard_path(info.shard)
+        store.close()
+        damaged = set()
+        if damage == "reserved_bit":
+            damaged = {first}
+            blob = bytearray(shard_path.read_bytes())
+            record = bytes(blob[info.offset : info.offset + info.length])
+            blob[info.offset + _first_word_offset(record) + 3] |= 0x80
+            shard_path.write_bytes(bytes(blob))
+        elif damage == "binding":
+            damaged = {first, second}
+            manifest_path = root / generation_manifest_name(1)
+            manifest = json.loads(manifest_path.read_text())
+            rows = {
+                (row["gate"], tuple(row["qubits"])): row
+                for row in manifest["entries"]
+            }
+            for field in ("shard", "offset", "length"):
+                rows[first][field], rows[second][field] = (
+                    rows[second][field],
+                    rows[first][field],
+                )
+            manifest_path.write_text(json.dumps(manifest))
+
+        before = sorted(path.name for path in root.iterdir())
+        with ShardedStore.open(root) as old:
+            bytes_before = {key: old.read_record_bytes(*key) for key in old.keys()}
+        with StoreWriter(root) as writer:
+            with pytest.raises(error, match=match) as raised:
+                writer.compact()
+            assert isinstance(raised.value, ReproError)
+            assert writer.generation == 1
+        assert sorted(path.name for path in root.iterdir()) == before
+        with ShardedStore.open(root) as reopened:
+            assert reopened.generation == 1
+            for key, blob in bytes_before.items():
+                assert reopened.read_record_bytes(*key) == blob
+            reopened.decode_many([k for k in reopened.keys() if k not in damaged])
 
 
 class TestCrashRecovery:
@@ -536,6 +842,16 @@ class TestVerifyTool:
         damaged = [s for s in report.shards if s.damage]
         assert damaged
         assert "DAMAGED" in format_report(report)
+
+    def test_record_of_another_window_size_is_reported(self, compiled, tmp_path):
+        root = tmp_path / "mixed.cqs"
+        mixed, key = _with_window_8_record(compiled)
+        save_store(mixed, root, n_shards=2).close()
+        report = verify_store(root)
+        assert not report.ok
+        damage = [item for shard in report.shards for item in shard.damage]
+        assert len(damage) == 1
+        assert repr(key[0]) in damage[0] and "window size 8" in damage[0]
 
     def test_missing_shard_is_fatal(self, store_dir):
         next(store_dir.glob("shard-*.cql")).unlink()
