@@ -75,7 +75,6 @@ from repro.store import (
 # subpackages above, so it must come after they are importable).
 from repro import api
 from repro.api import (
-    AsyncPulseClient,
     NetPulseServer,
     PulseClient,
     compile_library,
@@ -86,7 +85,6 @@ __all__ = [
     "api",
     "compile_library",
     "PulseClient",
-    "AsyncPulseClient",
     "NetPulseServer",
     "serve_in_thread",
     "__version__",

@@ -7,7 +7,7 @@ stable namespace, end to end in read-path order::
     persist      -> save_store / open_store / ShardedStore
     serve        -> PulseServer / PulseCache (in-process)
                     NetPulseServer / serve_in_thread (CQN1 socket tier)
-    consume      -> PulseClient / AsyncPulseClient
+    consume      -> PulseClient
     measure      -> run_closed_loop / run_open_loop / LoadReport
     extend       -> Codec / register_codec / list_codecs / get_codec
 
@@ -72,7 +72,6 @@ from repro.store import (
     synthetic_trace,
 )
 from repro.serve_net import (
-    AsyncPulseClient,
     LoadReport,
     NetPulseServer,
     PulseClient,
@@ -123,7 +122,6 @@ __all__ = [
     "NetPulseServer",
     "serve_in_thread",
     "PulseClient",
-    "AsyncPulseClient",
     "parse_address",
     "LoadReport",
     "run_closed_loop",

@@ -1022,6 +1022,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             + (
                 f", target rate {report.target_rate:.0f} req/s, peak "
                 f"outstanding {report.peak_outstanding}/{report.max_outstanding}"
+                f", late p99 {fmt(report.late_ms['p99'])} ms"
                 if report.mode == "open"
                 else ""
             ),

@@ -18,14 +18,13 @@ under load:
   hop into the store layer, which decodes the fetch's misses in one
   fused fill on that thread; its per-shard single-flight dedupes
   concurrent cold fetches.
-- :mod:`repro.serve_net.client` -- :class:`PulseClient` (blocking
-  sockets) and :class:`AsyncPulseClient` (asyncio), two thin transports
-  over one sans-IO request core, with optional seeded
-  retry-with-backoff on overload replies and every failure typed.
+- :mod:`repro.serve_net.client` -- :class:`PulseClient`, the one
+  client: a blocking socket with optional seeded retry-with-backoff
+  on overload replies and every failure typed.
 - :mod:`repro.serve_net.loadgen` -- closed- and open-loop load
-  generators (the closed loop on :class:`PulseClient` threads, the open
-  loop on :class:`AsyncPulseClient`) reporting p50/p95/p99 latency,
-  throughput, overload and retry counts; the measurement half of
+  generators, both on :class:`PulseClient` threads, reporting
+  p50/p95/p99 latency, throughput, overload and retry counts (and the
+  open loop's own lateness); the measurement half of
   ``BENCH_network.json``.
 
 Quickstart::
@@ -59,7 +58,7 @@ from repro.serve_net.server import (
     NetServerStats,
     serve_in_thread,
 )
-from repro.serve_net.client import AsyncPulseClient, PulseClient, parse_address
+from repro.serve_net.client import PulseClient, parse_address
 from repro.serve_net.loadgen import (
     LoadReport,
     latency_summary,
@@ -85,7 +84,6 @@ __all__ = [
     "NetServerStats",
     "serve_in_thread",
     "PulseClient",
-    "AsyncPulseClient",
     "parse_address",
     "LoadReport",
     "latency_summary",

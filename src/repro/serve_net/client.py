@@ -1,24 +1,20 @@
-"""The public client API: ``PulseClient`` / ``AsyncPulseClient``.
+"""The public client API: :class:`PulseClient`.
 
-Both clients speak the ``CQN1`` protocol against a
-:class:`~repro.serve_net.server.NetPulseServer` and expose the same
-surface as the in-process :class:`~repro.store.PulseServer` --
-``fetch`` / ``fetch_batch`` returning decoded
+``PulseClient`` speaks the ``CQN1`` protocol over a blocking TCP socket
+against a :class:`~repro.serve_net.server.NetPulseServer` and exposes
+the same surface as the in-process :class:`~repro.store.PulseServer`
+-- ``fetch`` / ``fetch_batch`` returning decoded
 :class:`~repro.pulses.waveform.Waveform` objects bit-identical to the
 server's copies -- plus the wire-only extras (raw record fetches,
-ping, remote stats, remote key inventory, metrics and traces).
-
-Every request is written once, as a generator with no I/O in it: it
-yields frames to send and back-off delays to sleep, and is sent each
-reply (or thrown the round trip's typed error).  :class:`PulseClient`
-drives it over a blocking socket; :class:`AsyncPulseClient` drives it
-over asyncio streams, so its request methods return awaitables.
+ping, remote stats, remote key inventory, metrics and traces).  Every
+request goes through one transport method, ``_roundtrip``: one frame
+out, one reply back.
 
 Overload is a first-class outcome, not an exception to hide: when the
-server sheds a request under admission control, clients raise
+server sheds a request under admission control, the client raises
 :class:`~repro.errors.ServerOverloadedError` so callers can back off,
-retry, or (in the load generator's case) count.  Both clients can also
-do the backing off themselves: construct with ``retries=N`` and shed
+retry, or (in the load generator's case) count.  The client can also
+do the backing off itself: construct with ``retries=N`` and shed
 fetches are retried with seeded exponential backoff + jitter before
 the error is surfaced (``retries_performed`` counts what that cost).
 Any other failed round trip (reset, closed socket, timeout, torn frame)
@@ -26,46 +22,43 @@ drops the connection and raises :class:`~repro.errors.ProtocolError`;
 the next request redials.
 
 Connections are lazy: the first request dials the server, ``close``
-hangs up, and both clients are context managers.  One client drives
-one connection, and requests on it are strictly serialized
-(request/response, in order) -- for concurrency, open more clients;
-the :mod:`~repro.serve_net.loadgen` module does exactly that.
+hangs up, and the client is a context manager.  One client drives one
+connection, and requests on it are strictly serialized
+(request/response, in order) -- for concurrency, open one client per
+thread; the :mod:`~repro.serve_net.loadgen` module does exactly that.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import json
+import math
+import numbers
 import random
 import socket
 import time
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ProtocolError, ReproError, ServerOverloadedError, StoreError
+from repro.errors import ProtocolError, ServerOverloadedError, StoreError
 from repro.obs import Tracer
 from repro.pulses.waveform import Waveform
 from repro.serve_net import protocol
 
-__all__ = ["PulseClient", "AsyncPulseClient", "parse_address"]
+__all__ = ["PulseClient", "parse_address"]
 
 _Key = Tuple[str, Tuple[int, ...]]
 
 _Request = Tuple[str, Sequence[int]]
 
-#: One request in flight: yields frames to send and delays to sleep, is
-#: sent each reply, returns the decoded result.
-_Exchange = Generator[Union[bytes, float], protocol.Reply, Any]
-
 #: What a failed round trip raises before it is mapped to ProtocolError
-#: (``asyncio.TimeoutError`` is an ``OSError`` only from Python 3.11).
-_WIRE_ERRORS = (OSError, EOFError, asyncio.TimeoutError, ProtocolError)
+#: (a socket timeout is a ``TimeoutError``, itself an ``OSError``).
+_WIRE_ERRORS = (OSError, ProtocolError)
 
 
 def parse_address(
     address: Union[str, Tuple[str, int]], port: Optional[int] = None
 ) -> Tuple[str, int]:
-    """Normalize ``("host", port)`` / ``"host:port"`` / host+port args."""
+    """Normalize ``("host", port)`` / ``"host:port"`` / ``"[v6]:port"`` /
+    host+port args."""
     if port is not None:
         if not isinstance(address, str):
             raise StoreError(f"host must be a string, got {address!r}")
@@ -74,6 +67,8 @@ def parse_address(
         return (str(address[0]), int(address[1]))
     if isinstance(address, str) and ":" in address:
         host, _, port_text = address.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]  # a bracketed IPv6 literal, "[::1]:7411"
         try:
             return (host, int(port_text))
         except ValueError:
@@ -91,10 +86,8 @@ def _wire_error(exc: BaseException) -> ProtocolError:
     """
     if isinstance(exc, ProtocolError):
         return exc
-    if isinstance(exc, (TimeoutError, asyncio.TimeoutError)):
+    if isinstance(exc, TimeoutError):
         return ProtocolError("timed out waiting for the reply")
-    if isinstance(exc, EOFError):
-        return ProtocolError("server closed the connection mid-frame")
     return ProtocolError(f"connection lost: {exc}")
 
 
@@ -133,14 +126,6 @@ def _decode_fetch_reply(
     ]
 
 
-def _decode_json_reply(reply: protocol.Reply, expected_type: int, what: str) -> Any:
-    reply = _check_reply(reply, expected_type)
-    try:
-        return json.loads(reply.items[0].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"{what} reply is not JSON: {exc}") from None
-
-
 def _retry_delay(rng: random.Random, backoff: float, attempt: int) -> float:
     """Exponential backoff with jitter in [0.5x, 1.5x) of the step.
 
@@ -150,140 +135,7 @@ def _retry_delay(rng: random.Random, backoff: float, attempt: int) -> float:
     return backoff * (2**attempt) * (0.5 + rng.random())
 
 
-def _request(method):
-    """Make a generator method (annotated with its result) a request
-    method: calling it hands the generator to the transport's ``_run``."""
-
-    @functools.wraps(method)
-    def call(self: "_ClientCore", *args: Any, **kwargs: Any) -> Any:
-        return self._run(method(self, *args, **kwargs))
-
-    return call
-
-
-class _ClientCore:
-    """Settings, retry state and every request, shared by both clients.
-
-    Subclasses supply the transport: ``_roundtrip(frame) -> Reply``,
-    which raises only typed errors, and ``_run(exchange)``, which
-    drives one request's generator to its result.
-    """
-
-    def __init__(
-        self,
-        address: Union[str, Tuple[str, int]],
-        port: Optional[int] = None,
-        timeout: float = 30.0,
-        retries: int = 0,
-        backoff: float = 0.05,
-        seed: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        if retries < 0:
-            raise StoreError(f"retries must be >= 0, got {retries}")
-        if backoff < 0:
-            raise StoreError(f"backoff must be >= 0, got {backoff}")
-        self.address = parse_address(address, port)
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.retries_performed = 0
-        self.tracer = tracer
-        self._rng = random.Random(seed)
-
-    def _run(self, exchange: _Exchange) -> Any:
-        """Drive one request: send each frame it yields, sleep each
-        delay, resume it with the reply or throw it the typed error."""
-        raise NotImplementedError
-
-    # -- the client API ----------------------------------------------------------
-
-    @_request
-    def fetch(self, gate: str, qubits: Sequence[int]) -> Waveform:
-        """One decoded pulse over the wire."""
-        return (yield from self._fetch([(gate, qubits)], protocol.MODE_SAMPLES))[0]
-
-    @_request
-    def fetch_batch(self, requests: Sequence[_Request]) -> List[Waveform]:
-        """A batch of decoded pulses, in request order.
-
-        Raises :class:`~repro.errors.ServerOverloadedError` when the
-        server sheds the request (after ``retries`` backed-off
-        attempts), :class:`~repro.errors.StoreError` on server-side
-        errors (e.g. unknown keys).
-        """
-        return (yield from self._fetch(requests, protocol.MODE_SAMPLES))
-
-    @_request
-    def fetch_records(self, requests: Sequence[_Request]) -> List[bytes]:
-        """Raw ``CQW1`` record bytes per key (no decode on either side)."""
-        return (yield from self._fetch(requests, protocol.MODE_RECORD))
-
-    def _fetch(self, requests: Sequence[_Request], mode: int) -> _Exchange:
-        keys = [(gate, tuple(int(q) for q in qubits)) for gate, qubits in requests]
-        sp = None
-        if self.tracer is not None:
-            sp = self.tracer.start_trace(
-                "client.fetch", keys=len(keys), mode=mode
-            )
-        trace = None if sp is None else (sp.trace_id, sp.span_id)
-        frame = protocol.encode_fetch(keys, mode, trace=trace)
-        attempt = 0
-        try:
-            while True:
-                try:
-                    return _decode_fetch_reply((yield frame), keys, mode)
-                except ServerOverloadedError:
-                    if attempt >= self.retries:
-                        raise
-                    delay = _retry_delay(self._rng, self.backoff, attempt)
-                    attempt += 1
-                    self.retries_performed += 1
-                    yield delay
-        finally:
-            if sp is not None:
-                sp.tags["retries"] = attempt
-                sp.finish()
-
-    @_request
-    def ping(self) -> float:
-        """Round-trip a PING; returns the latency in seconds."""
-        start = time.perf_counter()
-        _check_reply((yield protocol.encode_ping()), protocol.MSG_PING)
-        return time.perf_counter() - start
-
-    @_request
-    def stats(self) -> Dict:
-        """The server's counter snapshot (see ``NetServerStats.as_dict``)."""
-        reply = yield protocol.encode_stats()
-        return _decode_json_reply(reply, protocol.MSG_STATS, "stats")
-
-    @_request
-    def keys(self) -> List[_Key]:
-        """The remote store's full pulse-key inventory."""
-        reply = _check_reply((yield protocol.encode_keys()), protocol.MSG_KEYS)
-        return list(reply.keys)
-
-    @_request
-    def metrics(self) -> Dict:
-        """The server's merged metrics-registry snapshot.
-
-        Shape: ``{"counters": ..., "gauges": ..., "histograms": ...}``
-        (see :meth:`repro.obs.MetricsRegistry.snapshot`), aggregated
-        across the network tier, serving layer, cache, and the
-        process-wide default registry.
-        """
-        reply = yield protocol.encode_metrics()
-        return _decode_json_reply(reply, protocol.MSG_METRICS, "metrics")
-
-    @_request
-    def traces(self, limit: int = 16) -> List[Dict]:
-        """Up to ``limit`` recent completed traces, newest last."""
-        reply = yield protocol.encode_traces(limit)
-        return _decode_json_reply(reply, protocol.MSG_TRACES, "traces")
-
-
-class PulseClient(_ClientCore):
+class PulseClient:
     """Blocking ``CQN1`` client over a plain TCP socket.
 
     Args:
@@ -292,7 +144,7 @@ class PulseClient(_ClientCore):
         port: Port when ``address`` is a bare host name.
         timeout: Seconds allowed for connecting, and for each
             request/response round trip as a whole (one deadline from
-            the send to the last byte of the reply).
+            the send to the last byte of the reply); positive and finite.
         retries: How many times a fetch shed with ``STATUS_OVERLOAD``
             is retried before :class:`~repro.errors.ServerOverloadedError`
             surfaces.  0 (the default) preserves raise-immediately.
@@ -308,6 +160,30 @@ class PulseClient(_ClientCore):
     """
 
     _sock: Optional[socket.socket] = None
+
+    def __init__(
+        self,
+        address: Union[str, Tuple[str, int]],
+        port: Optional[int] = None,
+        timeout: float = 30.0,
+        retries: int = 0,
+        backoff: float = 0.05,
+        seed: Optional[int] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        if not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
+            raise StoreError(f"timeout must be positive and finite, got {timeout!r}")
+        if retries < 0:
+            raise StoreError(f"retries must be >= 0, got {retries}")
+        if backoff < 0:
+            raise StoreError(f"backoff must be >= 0, got {backoff}")
+        self.address = parse_address(address, port)
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff = backoff
+        self.retries_performed = 0
+        self.tracer = tracer
+        self._rng = random.Random(seed)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -343,9 +219,92 @@ class PulseClient(_ClientCore):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    # -- the client API ----------------------------------------------------------
+
+    def fetch(self, gate: str, qubits: Sequence[int]) -> Waveform:
+        """One decoded pulse over the wire."""
+        return self._fetch([(gate, qubits)], protocol.MODE_SAMPLES)[0]
+
+    def fetch_batch(self, requests: Sequence[_Request]) -> List[Waveform]:
+        """A batch of decoded pulses, in request order.
+
+        Raises :class:`~repro.errors.ServerOverloadedError` when the
+        server sheds the request (after ``retries`` backed-off
+        attempts), :class:`~repro.errors.StoreError` on server-side
+        errors (e.g. unknown keys).
+        """
+        return self._fetch(requests, protocol.MODE_SAMPLES)
+
+    def fetch_records(self, requests: Sequence[_Request]) -> List[bytes]:
+        """Raw ``CQW1`` record bytes per key (no decode on either side)."""
+        return self._fetch(requests, protocol.MODE_RECORD)
+
+    def _fetch(self, requests: Sequence[_Request], mode: int) -> List:
+        keys = [(gate, tuple(int(q) for q in qubits)) for gate, qubits in requests]
+        sp = None
+        if self.tracer is not None:
+            sp = self.tracer.start_trace(
+                "client.fetch", keys=len(keys), mode=mode
+            )
+        trace = None if sp is None else (sp.trace_id, sp.span_id)
+        frame = protocol.encode_fetch(keys, mode, trace=trace)
+        attempt = 0
+        try:
+            while True:
+                try:
+                    return _decode_fetch_reply(self._roundtrip(frame), keys, mode)
+                except ServerOverloadedError:
+                    if attempt >= self.retries:
+                        raise
+                    delay = _retry_delay(self._rng, self.backoff, attempt)
+                    attempt += 1
+                    self.retries_performed += 1
+                    time.sleep(delay)
+        finally:
+            if sp is not None:
+                sp.tags["retries"] = attempt
+                sp.finish()
+
+    def ping(self) -> float:
+        """Round-trip a PING; returns the latency in seconds."""
+        start = time.perf_counter()
+        _check_reply(self._roundtrip(protocol.encode_ping()), protocol.MSG_PING)
+        return time.perf_counter() - start
+
+    def stats(self) -> Dict:
+        """The server's counter snapshot (see ``NetServerStats.as_dict``)."""
+        return self._json(protocol.encode_stats(), protocol.MSG_STATS, "stats")
+
+    def keys(self) -> List[_Key]:
+        """The remote store's full pulse-key inventory."""
+        reply = self._roundtrip(protocol.encode_keys())
+        return list(_check_reply(reply, protocol.MSG_KEYS).keys)
+
+    def metrics(self) -> Dict:
+        """The server's merged metrics-registry snapshot.
+
+        Shape: ``{"counters": ..., "gauges": ..., "histograms": ...}``
+        (see :meth:`repro.obs.MetricsRegistry.snapshot`), aggregated
+        across the network tier, serving layer, cache, and the
+        process-wide default registry.
+        """
+        return self._json(protocol.encode_metrics(), protocol.MSG_METRICS, "metrics")
+
+    def traces(self, limit: int = 16) -> List[Dict]:
+        """Up to ``limit`` recent completed traces, newest last."""
+        return self._json(protocol.encode_traces(limit), protocol.MSG_TRACES, "traces")
+
+    def _json(self, frame: bytes, expected_type: int, what: str) -> Any:
+        reply = _check_reply(self._roundtrip(frame), expected_type)
+        try:
+            return json.loads(reply.items[0].decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise ProtocolError(f"{what} reply is not JSON: {exc}") from None
+
     # -- transport -------------------------------------------------------------
 
     def _roundtrip(self, request_frame: bytes) -> protocol.Reply:
+        """Send one frame and read its reply; raises only typed errors."""
         self.connect()
         assert self._sock is not None
         deadline = time.monotonic() + self.timeout
@@ -381,108 +340,3 @@ class PulseClient(_ClientCore):
                 )
             got += count
         return buf
-
-    def _run(self, exchange: _Exchange) -> Any:
-        resume, value = exchange.send, None
-        while True:
-            try:
-                step = resume(value)
-            except StopIteration as done:
-                return done.value
-            if isinstance(step, bytes):
-                try:
-                    resume, value = exchange.send, self._roundtrip(step)
-                except ReproError as exc:
-                    resume, value = exchange.throw, exc
-            else:
-                time.sleep(step)
-                resume, value = exchange.send, None
-
-
-class AsyncPulseClient(_ClientCore):
-    """Asyncio ``CQN1`` client; its request methods return awaitables.
-
-    It takes :class:`PulseClient`'s arguments and has its request
-    methods, each returning an awaitable of the same result.  One
-    instance drives one connection and serializes its requests with
-    an internal lock, so it is safe to share across tasks -- concurrent
-    callers simply queue client-side.  For true request concurrency
-    (and to exercise the server's admission control), open several
-    clients.
-    """
-
-    _reader: Optional[asyncio.StreamReader] = None
-    _writer: Optional[asyncio.StreamWriter] = None
-
-    @functools.cached_property
-    def _lock(self) -> asyncio.Lock:
-        return asyncio.Lock()
-
-    # -- lifecycle -------------------------------------------------------------
-
-    async def connect(self) -> "AsyncPulseClient":
-        if self._writer is None:
-            try:
-                self._reader, self._writer = await asyncio.wait_for(
-                    asyncio.open_connection(*self.address), timeout=self.timeout
-                )
-            except (OSError, asyncio.TimeoutError) as exc:
-                self._reader = self._writer = None
-                raise StoreError(
-                    f"cannot connect to {self.address[0]}:{self.address[1]}: {exc}"
-                ) from None
-        return self
-
-    async def aclose(self) -> None:
-        writer, self._writer = self._writer, None
-        self._reader = None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def __aenter__(self) -> "AsyncPulseClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.aclose()
-
-    # -- transport -------------------------------------------------------------
-
-    async def _roundtrip(self, request_frame: bytes) -> protocol.Reply:
-        async with self._lock:
-            await self.connect()
-            try:
-                # One deadline for the whole round trip.
-                payload = await asyncio.wait_for(
-                    self._exchange(request_frame), timeout=self.timeout
-                )
-            except _WIRE_ERRORS as exc:
-                await self.aclose()
-                raise _wire_error(exc) from None
-            return protocol.decode_reply(payload)
-
-    async def _exchange(self, request_frame: bytes) -> bytes:
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(request_frame)
-        await self._writer.drain()
-        length = protocol.parse_frame_length(await self._reader.readexactly(4))
-        return await self._reader.readexactly(length)
-
-    async def _run(self, exchange: _Exchange) -> Any:
-        resume, value = exchange.send, None
-        while True:
-            try:
-                step = resume(value)
-            except StopIteration as done:
-                return done.value
-            if isinstance(step, bytes):
-                try:
-                    resume, value = exchange.send, await self._roundtrip(step)
-                except ReproError as exc:
-                    resume, value = exchange.throw, exc
-            else:
-                await asyncio.sleep(step)
-                resume, value = exchange.send, None

@@ -19,24 +19,27 @@ record per-request latency and report p50/p95/p99:
   (``max_outstanding``) so neither side grows an unbounded queue --
   arrivals past the bound are counted as ``skipped``.  Open-loop
   latency is measured from the *scheduled* arrival, so client-side
-  queueing under overdrive shows up in the percentiles, as it should.
+  queueing under overdrive shows up in the percentiles, as it should;
+  ``late_s`` records how late the generator itself took each arrival.
 
-Both return a :class:`LoadReport`; the network benchmark
-(``repro bench --network``) and the ``repro loadgen`` CLI are thin
-wrappers over these.
+Both loops run on threads that each own one blocking
+:class:`~repro.serve_net.client.PulseClient` and settle every request
+as exactly one of ok, overload or error.  Both return a
+:class:`LoadReport`; the network benchmark (``repro bench --network``)
+and the ``repro loadgen`` CLI are thin wrappers over these.
 """
 
 from __future__ import annotations
 
-import asyncio
+import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError, ServerOverloadedError, StoreError
 from repro.obs import Tracer, exact_quantile
-from repro.serve_net.client import AsyncPulseClient, PulseClient, parse_address
+from repro.serve_net.client import PulseClient, parse_address
 from repro.serve_net.protocol import MODE_RECORD, MODE_SAMPLES
 from repro.store.trace import arrival_times
 
@@ -79,6 +82,9 @@ class LoadReport:
     pulses_ok: int
     elapsed_s: float
     latencies_s: Tuple[float, ...] = field(repr=False)
+    #: Open loop only: per arrival (skipped ones too), how long after
+    #: its scheduled time the generator took it.
+    late_s: Tuple[float, ...] = field(default=(), repr=False)
     target_rate: float = 0.0
     max_outstanding: int = 0
     peak_outstanding: int = 0
@@ -96,6 +102,10 @@ class LoadReport:
     def latency_ms(self) -> Dict[str, Optional[float]]:
         return latency_summary(self.latencies_s)
 
+    @property
+    def late_ms(self) -> Dict[str, Optional[float]]:
+        return latency_summary(self.late_s)
+
     def as_dict(self) -> Dict:
         return {
             "mode": self.mode,
@@ -111,6 +121,7 @@ class LoadReport:
             "requests_per_s": self.requests_per_s,
             "pulses_per_s": self.pulses_per_s,
             "latency_ms": self.latency_ms,
+            "late_ms": self.late_ms,
             "target_rate": self.target_rate,
             "max_outstanding": self.max_outstanding,
             "peak_outstanding": self.peak_outstanding,
@@ -141,8 +152,75 @@ def _resolve_mode(mode: Union[int, str]) -> int:
     raise StoreError(f"unknown fetch mode {mode!r}")
 
 
+class _Books:
+    """One run's accounting, shared by its connection threads."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.ok = self.overloads = self.errors = self.pulses = self.retries = 0
+        self.latencies: List[float] = []
+
+
+def _connection(
+    client: PulseClient,
+    mode: int,
+    jobs: Iterable[Tuple[List, Optional[float]]],
+    books: _Books,
+) -> None:
+    """One connection's thread, in both loops: settle every ``(batch,
+    t0)`` in ``jobs`` as exactly one of ok, overload or error.  Latency
+    runs from ``t0``, or from the send when it is ``None``.  The client
+    dials on its first request, so a refused dial counts as an error."""
+    fetch = client.fetch_records if mode == MODE_RECORD else client.fetch_batch
+    try:
+        for batch, t0 in jobs:
+            if t0 is None:
+                t0 = time.perf_counter()
+            try:
+                fetch(batch)
+            except ServerOverloadedError:
+                with books.lock:
+                    books.overloads += 1
+            except ReproError:
+                with books.lock:
+                    books.errors += 1
+            else:
+                latency = time.perf_counter() - t0
+                with books.lock:
+                    books.ok += 1
+                    books.pulses += len(batch)
+                    books.latencies.append(latency)
+    finally:
+        client.close()
+        with books.lock:
+            books.retries += client.retries_performed
+
+
+def _start(
+    jobs: Sequence[Iterable[Tuple[List, Optional[float]]]],
+    mode: int,
+    books: _Books,
+    address: Tuple[str, int],
+    seed: int,
+    **options,
+) -> List[threading.Thread]:
+    """Start a connection thread per entry of ``jobs``, each owning a
+    :class:`PulseClient` seeded ``seed + index`` (so runs reproduce)."""
+    clients = [
+        PulseClient(address, seed=seed + index, **options)
+        for index in range(len(jobs))
+    ]
+    threads = [
+        threading.Thread(target=_connection, args=(c, mode, lane, books), daemon=True)
+        for c, lane in zip(clients, jobs)
+    ]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
 # ---------------------------------------------------------------------------
-# Closed loop: threads + blocking clients.
+# Closed loop: each connection sends its next batch when the last lands.
 # ---------------------------------------------------------------------------
 
 
@@ -168,59 +246,24 @@ def run_closed_loop(
     ``retries`` totals what the clients spent.  A ``tracer`` is shared
     by every client (sampled fetches propagate trace context to the
     server).  A failed fetch -- overload or any other typed error,
-    including a dropped connection -- is counted and the worker moves
-    on to its next batch.
+    including a dropped or refused connection -- is counted and the
+    worker moves on to its next batch.
     """
     if connections < 1:
         raise StoreError(f"connections must be >= 1, got {connections}")
     host_port = parse_address(address)
     fetch_mode = _resolve_mode(mode)
     batches = _batches(trace, batch_size)
-    lanes: List[List[List]] = [batches[i::connections] for i in range(connections)]
-    lock = threading.Lock()
-    latencies: List[float] = []
-    counters = {"ok": 0, "overload": 0, "error": 0, "pulses": 0, "retries": 0}
-
-    def _worker(index: int, lane: List[List]) -> None:
-        with PulseClient(
-            host_port,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            seed=seed + index,
-            tracer=tracer,
-        ) as client:
-            for batch in lane:
-                start = time.perf_counter()
-                try:
-                    if fetch_mode == MODE_RECORD:
-                        client.fetch_records(batch)
-                    else:
-                        client.fetch_batch(batch)
-                except ServerOverloadedError:
-                    with lock:
-                        counters["overload"] += 1
-                    continue
-                except ReproError:
-                    with lock:
-                        counters["error"] += 1
-                    continue
-                elapsed = time.perf_counter() - start
-                with lock:
-                    counters["ok"] += 1
-                    counters["pulses"] += len(batch)
-                    latencies.append(elapsed)
-            with lock:
-                counters["retries"] += client.retries_performed
-
-    threads = [
-        threading.Thread(target=_worker, args=(index, lane), daemon=True)
-        for index, lane in enumerate(lanes)
-        if lane
+    books = _Books()
+    lanes = [
+        [(batch, None) for batch in batches[index::connections]]
+        for index in range(min(connections, len(batches)))
     ]
     wall_start = time.perf_counter()
-    for thread in threads:
-        thread.start()
+    threads = _start(
+        lanes, fetch_mode, books, host_port, seed,
+        timeout=timeout, retries=retries, backoff=backoff, tracer=tracer,
+    )
     for thread in threads:
         thread.join()
     wall_elapsed = time.perf_counter() - wall_start
@@ -230,19 +273,19 @@ def run_closed_loop(
         connections=connections,
         batch_size=batch_size,
         requests_sent=len(batches),
-        requests_ok=counters["ok"],
-        overloads=counters["overload"],
-        errors=counters["error"],
+        requests_ok=books.ok,
+        overloads=books.overloads,
+        errors=books.errors,
         skipped=0,
-        pulses_ok=counters["pulses"],
+        pulses_ok=books.pulses,
         elapsed_s=wall_elapsed,
-        latencies_s=tuple(latencies),
-        retries=counters["retries"],
+        latencies_s=tuple(books.latencies),
+        retries=books.retries,
     )
 
 
 # ---------------------------------------------------------------------------
-# Open loop: asyncio + a fixed arrival schedule.
+# Open loop: a fixed arrival schedule, one shared queue of batches.
 # ---------------------------------------------------------------------------
 
 
@@ -262,17 +305,20 @@ def run_open_loop(
     """Fire batches on an arrival schedule, regardless of completions.
 
     ``rate`` is the target arrival rate in *requests* (batch frames)
-    per second.  Arrivals finding ``max_outstanding`` requests already
-    in flight are shed client-side (``skipped``) -- the generator's own
-    no-unbounded-queue rule.  Arrivals are dealt round-robin over
-    ``connections`` :class:`~repro.serve_net.client.AsyncPulseClient`
-    instances on one event loop.  By default overload replies from the
-    server are counted, not retried, and any other typed failure
-    (including a dropped connection) counts in ``errors``;
-    ``retries > 0`` turns on the clients' seeded backoff-and-retry and
-    the report's ``retries`` totals what that cost (a retrying request
-    still counts against ``max_outstanding`` the whole time, so the
-    bound holds).
+    per second.  The calling thread sleeps until each arrival, records
+    how late it woke (``late_s``), and puts the batch on one queue that
+    ``connections`` threads drain, each owning a blocking
+    :class:`~repro.serve_net.client.PulseClient`: any free connection
+    takes the next batch, so no arrival waits behind a busy connection
+    while another sits idle.  Arrivals finding ``max_outstanding``
+    requests already queued or in flight are shed client-side
+    (``skipped``) -- the generator's own no-unbounded-queue rule.  By
+    default overload replies from the server are counted, not retried,
+    and any other typed failure (including a dropped or refused
+    connection) counts in ``errors``; ``retries > 0`` turns on the
+    clients' seeded backoff-and-retry and the report's ``retries``
+    totals what that cost (a retrying request still counts against
+    ``max_outstanding`` the whole time, so the bound holds).
     """
     if connections < 1:
         raise StoreError(f"connections must be >= 1, got {connections}")
@@ -282,98 +328,53 @@ def run_open_loop(
     fetch_mode = _resolve_mode(mode)
     batches = _batches(trace, batch_size)
     schedule = arrival_times(len(batches), rate, seed=seed)
-
-    counters = {
-        "ok": 0,
-        "overload": 0,
-        "error": 0,
-        "skipped": 0,
-        "pulses": 0,
-        "outstanding": 0,
-        "peak": 0,
-        "retries": 0,
-    }
-    latencies: List[float] = []
-
-    async def _fire(
-        client: AsyncPulseClient, batch: List, scheduled_at: float, start: float
-    ) -> None:
-        try:
-            if fetch_mode == MODE_RECORD:
-                await client.fetch_records(batch)
-            else:
-                await client.fetch_batch(batch)
-        except ServerOverloadedError:
-            counters["overload"] += 1
-        except ReproError:
-            counters["error"] += 1
-        else:
-            counters["ok"] += 1
-            counters["pulses"] += len(batch)
+    books = _Books()
+    jobs: queue.SimpleQueue = queue.SimpleQueue()
+    threads = _start(
+        [iter(jobs.get, None) for _ in range(connections)], fetch_mode, books,
+        host_port, seed, timeout=timeout, retries=retries, backoff=backoff,
+    )
+    late: List[float] = []
+    admitted = skipped = peak = 0
+    start = time.perf_counter()
+    try:
+        for batch, scheduled_at in zip(batches, schedule):
+            due = start + scheduled_at
+            while (delay := due - time.perf_counter()) > 0:
+                time.sleep(delay)
+            late.append(-delay)
+            with books.lock:  # queued plus in flight
+                outstanding = admitted - books.ok - books.overloads - books.errors
+            if outstanding >= max_outstanding:
+                skipped += 1
+                continue
+            admitted += 1
+            peak = max(peak, outstanding + 1)
             # Open-loop latency runs from the scheduled arrival, so
             # queueing delay under overdrive is part of the number.
-            latencies.append(time.perf_counter() - (start + scheduled_at))
-        finally:
-            counters["outstanding"] -= 1
+            jobs.put((batch, due))
+    finally:
+        for _ in threads:
+            jobs.put(None)
+        for thread in threads:
+            thread.join()
+    elapsed = time.perf_counter() - start
 
-    async def _main() -> float:
-        clients = [
-            AsyncPulseClient(
-                host_port,
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
-                seed=seed + index,
-            )
-            for index in range(connections)
-        ]
-        tasks: List[asyncio.Task] = []
-        start = time.perf_counter()
-        try:
-            for index, (batch, scheduled_at) in enumerate(zip(batches, schedule)):
-                delay = scheduled_at - (time.perf_counter() - start)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                if counters["outstanding"] >= max_outstanding:
-                    counters["skipped"] += 1
-                    continue
-                counters["outstanding"] += 1
-                counters["peak"] = max(counters["peak"], counters["outstanding"])
-                tasks.append(
-                    asyncio.ensure_future(
-                        _fire(
-                            clients[index % connections],
-                            batch,
-                            scheduled_at,
-                            start,
-                        )
-                    )
-                )
-            if tasks:
-                await asyncio.gather(*tasks)
-            return time.perf_counter() - start
-        finally:
-            counters["retries"] = sum(
-                client.retries_performed for client in clients
-            )
-            for client in clients:
-                await client.aclose()
-
-    elapsed = asyncio.run(_main())
     return LoadReport(
         mode="open",
         connections=connections,
         batch_size=batch_size,
-        requests_sent=len(batches) - counters["skipped"],
-        requests_ok=counters["ok"],
-        overloads=counters["overload"],
-        errors=counters["error"],
-        skipped=counters["skipped"],
-        pulses_ok=counters["pulses"],
+        requests_sent=admitted,
+        requests_ok=books.ok,
+        overloads=books.overloads,
+        errors=books.errors,
+        skipped=skipped,
+        pulses_ok=books.pulses,
         elapsed_s=elapsed,
-        latencies_s=tuple(latencies),
+        latencies_s=tuple(books.latencies),
+        late_s=tuple(late),
         target_rate=rate,
         max_outstanding=max_outstanding,
-        peak_outstanding=counters["peak"],
-        retries=counters["retries"],
+        peak_outstanding=peak,
+        retries=books.retries,
     )

@@ -6,18 +6,17 @@ scalar decode path), per-request errors keep the connection usable,
 admission control sheds load with explicit overload replies, N clients
 hammering one cold key cost exactly one cache insertion, malformed
 frames close the connection cleanly without hanging the server, a
-drained server refuses new work, and both clients surface every failure
-as a typed error.  Client tests run on both transports: each class
-names its ``transport``, and an ``...Async`` subclass reruns it on
-:class:`AsyncPulseClient`.
+drained server refuses new work, :class:`PulseClient` surfaces every
+failure as a typed error, and both load generators account for every
+request they send.
 """
 
-import asyncio
 import contextlib
 import itertools
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -30,8 +29,8 @@ from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
 from repro.obs import Tracer
 from repro.pulses.waveform import Waveform
+from repro.cli import main
 from repro.serve_net import (
-    AsyncPulseClient,
     NetPulseServer,
     PulseClient,
     parse_address,
@@ -40,8 +39,15 @@ from repro.serve_net import (
     run_open_loop,
     serve_in_thread,
 )
+from repro.serve_net import loadgen
 from repro.serve_net.client import _retry_delay
-from repro.store import PulseServer, arrival_times, save_store, synthetic_trace
+from repro.store import (
+    PulseServer,
+    arrival_times,
+    save_store,
+    synthetic_trace,
+    write_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,55 +91,13 @@ def handle(serving):
         yield running
 
 
-class _Blocking:
-    """An :class:`AsyncPulseClient` whose request methods block.
-
-    Each request runs to completion on a private event loop, so one
-    test body drives both transports.  Every other attribute -- the
-    ``tracer``, ``retries_performed``, a replaced ``_roundtrip`` --
-    reads and writes through to the wrapped client.
-    """
-
-    REQUESTS = frozenset(
-        ("fetch", "fetch_batch", "fetch_records", "ping", "stats", "keys",
-         "metrics", "traces")
-    )
-
-    def __init__(self, client):
-        vars(self).update(client=client, loop=asyncio.new_event_loop())
-
-    def __getattr__(self, name):
-        attr = getattr(self.client, name)
-        if name not in self.REQUESTS:
-            return attr
-        return lambda *args, **kwargs: self.loop.run_until_complete(
-            attr(*args, **kwargs)
-        )
-
-    def __setattr__(self, name, value):
-        setattr(self.client, name, value)
-
-    def close(self):
-        self.loop.run_until_complete(self.client.aclose())
-        self.loop.close()
-
-
 @pytest.fixture()
-def transport(request):
-    """The test class's transport; parametrize ``transport`` to override."""
-    return request.cls.transport
-
-
-@pytest.fixture()
-def open_client(transport):
-    """Opens clients on ``transport``; closes them after the test."""
+def open_client():
+    """Opens clients; closes them after the test."""
     opened = []
 
     def _open(*args, **kwargs):
-        if transport == "sync":
-            client = PulseClient(*args, **kwargs)
-        else:
-            client = _Blocking(AsyncPulseClient(*args, **kwargs))
+        client = PulseClient(*args, **kwargs)
         opened.append(client)
         return client
 
@@ -143,8 +107,6 @@ def open_client(transport):
 
 
 class TestWireIdentity:
-    transport = "sync"
-
     def test_fetch_batch_is_bit_identical(
         self, handle, store, serving, reference, open_client
     ):
@@ -168,13 +130,7 @@ class TestWireIdentity:
         assert waveform.samples.tobytes() == reference[key]
 
 
-class TestWireIdentityAsync(TestWireIdentity):
-    transport = "async"
-
-
 class TestControlRequests:
-    transport = "sync"
-
     def test_ping_keys_stats(self, handle, store, open_client):
         client = open_client(*handle.address)
         assert client.ping() >= 0.0
@@ -216,10 +172,6 @@ class TestControlRequests:
         (client_trace,) = tracer.recent()
         served = {trace["trace_id"] for trace in client.traces(limit=8)}
         assert client_trace["trace_id"] in served
-
-
-class TestControlRequestsAsync(TestControlRequests):
-    transport = "async"
 
 
 class TestCoalescing:
@@ -415,7 +367,8 @@ class TestParseAddress:
         assert parse_address(("localhost", 9000)) == ("localhost", 9000)
         assert parse_address("localhost:9000") == ("localhost", 9000)
         assert parse_address("localhost", 9000) == ("localhost", 9000)
-        assert parse_address("::1:9000") == ("::1", 9000)
+        assert parse_address("::1:7411") == ("::1", 7411)
+        assert parse_address("[::1]:7411") == ("::1", 7411)
 
     def test_rejected_forms(self):
         with pytest.raises(StoreError):
@@ -517,7 +470,6 @@ class TestClientRobustness:
         finally:
             client.close()
 
-    @pytest.mark.parametrize("transport", ["sync", "async"])
     def test_connection_reset_is_typed_and_redials(self, open_client):
         with _scripted_peer(_reset, _answer_ping) as address:
             client = open_client(address)
@@ -525,7 +477,6 @@ class TestClientRobustness:
                 client.ping()
             assert client.ping() >= 0.0
 
-    @pytest.mark.parametrize("transport", ["sync", "async"])
     def test_timeout_bounds_the_whole_round_trip(self, open_client):
         # The reply is announced at once, then arrives a byte per 50 ms:
         # every read makes progress, but the round trip may not outlast
@@ -541,7 +492,6 @@ class TestClientRobustness:
             assert time.monotonic() - started < 2 * 0.3
             assert client.ping() >= 0.0  # redials
 
-    @pytest.mark.parametrize("transport", ["sync", "async"])
     def test_reply_in_small_pieces_decodes_bit_identically(
         self, store, reference, open_client
     ):
@@ -567,7 +517,6 @@ class TestClientRobustness:
             )
             assert got.samples.tobytes() == sent.samples.tobytes()
 
-    @pytest.mark.parametrize("transport", ["sync", "async"])
     def test_fetch_records_are_bytes(self, handle, store, open_client):
         blobs = open_client(*handle.address).fetch_records(store.keys()[:2])
         assert all(type(blob) is bytes for blob in blobs)
@@ -743,9 +692,7 @@ class TestFrameTimeoutExpiry:
             NetPulseServer(serving, frame_timeout=0.0)
 
 
-class _RetryOverTheWire:
-    """Retry tests that run on each transport (see ``transport``)."""
-
+class TestClientRetry:
     def test_retry_recovers_from_transient_overload(
         self, handle, store, reference, open_client
     ):
@@ -788,9 +735,6 @@ class _RetryOverTheWire:
         assert client.retries_performed == 0
 
 
-class TestClientRetry(_RetryOverTheWire):
-    transport = "sync"
-
     def test_retry_delay_is_seeded_exponential_with_jitter(self):
         rng = random.Random(0)
         for attempt in range(4):
@@ -805,11 +749,18 @@ class TestClientRetry(_RetryOverTheWire):
         with pytest.raises(StoreError):
             PulseClient(("127.0.0.1", 1), retries=-1)
         with pytest.raises(StoreError):
-            AsyncPulseClient(("127.0.0.1", 1), backoff=-0.1)
+            PulseClient(("127.0.0.1", 1), backoff=-0.1)
+        for timeout in (None, "1", 0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(StoreError, match="timeout"):
+                PulseClient(("127.0.0.1", 1), timeout=timeout)
 
 
-class TestClientRetryAsync(_RetryOverTheWire):
-    transport = "async"
+@pytest.fixture()
+def refusing():
+    """An address bound without ``listen()``: every dial is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        yield sock.getsockname()[:2]
 
 
 class TestLoadgen:
@@ -819,18 +770,61 @@ class TestLoadgen:
         assert report.requests_ok == report.requests_sent
         assert report.errors == 0
         assert report.pulses_ok == len(trace)
+        assert report.late_s == ()
+        assert set(report.as_dict()["late_ms"].values()) == {None}
 
     def test_open_loop_accounts_for_every_request(self, handle, store):
         trace = synthetic_trace(store.keys(), 128, seed=1)
-        report = run_open_loop(
-            handle.address, trace, rate=200.0, batch_size=8, connections=2,
-            max_outstanding=4,
-        )
+        # More connection threads than cores, switching often: a lost
+        # update to the shared books would break the sum below.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = run_open_loop(
+                handle.address, trace, rate=200.0, batch_size=8, connections=6,
+                max_outstanding=4,
+            )
+        finally:
+            sys.setswitchinterval(interval)
         assert report.requests_ok + report.overloads + report.errors == (
             report.requests_sent
         )
         assert report.requests_ok > 0 and report.errors == 0
         assert report.peak_outstanding <= report.max_outstanding
+        # The generator's own lateness: one sample per arrival.
+        assert len(report.late_s) == report.requests_sent + report.skipped == 16
+        assert min(report.late_s) >= 0.0
+        assert report.as_dict()["late_ms"]["p99"] >= 0.0
+
+    def test_scheduling_failure_still_joins_every_connection(
+        self, handle, store, monkeypatch
+    ):
+        # The third arrival time is not a number, so the scheduling
+        # thread raises after two batches are queued; in dev mode a
+        # socket left open by a connection thread fails the run.
+        monkeypatch.setattr(
+            loadgen, "arrival_times", lambda n, rate, seed: [0.0, 0.0, None]
+        )
+        trace = synthetic_trace(store.keys(), 24, seed=2)
+        with pytest.raises(TypeError):
+            run_open_loop(handle.address, trace, rate=100.0, batch_size=8)
+        assert not [t for t in threading.enumerate() if "_connection" in t.name]
+
+    def test_refused_dial_is_an_error_in_both_loops(self, store, refusing):
+        trace = synthetic_trace(store.keys(), 64, seed=0)
+        for report in (
+            run_closed_loop(refusing, trace, batch_size=8, connections=2),
+            run_open_loop(refusing, trace, rate=1000.0, batch_size=8, connections=2),
+        ):
+            assert report.requests_sent == 8
+            assert report.errors == report.requests_sent
+            assert report.requests_ok == report.overloads == 0
+
+    def test_cli_exits_1_on_a_refused_dial(self, store, refusing, tmp_path, capsys):
+        path = write_trace(store.keys()[:4], tmp_path / "trace.json")
+        host, port = refusing
+        assert main(["loadgen", f"{host}:{port}", "--trace", str(path)]) == 1
+        assert "0/1" in capsys.readouterr().out
 
     def test_arrival_times_start_at_zero_and_never_decrease(self):
         schedule = arrival_times(64, rate=500.0, seed=3)
