@@ -78,10 +78,10 @@ def main() -> None:
 
                 stats = handle.stats()
                 print(
-                    f"server counters: {stats.requests} requests, "
-                    f"{stats.pulses_served} pulses, "
-                    f"{stats.serving.coalesced_fills} coalesced fills, "
-                    f"{stats.overloads} overloads"
+                    f"server counters: {stats['requests']} requests, "
+                    f"{stats['pulses_served']} pulses, "
+                    f"{stats['serving']['coalesced_fills']} coalesced fills, "
+                    f"{stats['overloads']} overloads"
                 )
 
 

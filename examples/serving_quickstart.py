@@ -54,18 +54,18 @@ def main() -> None:
             reference = decompress_waveform(store.read_record(gate, qubits))
             assert np.array_equal(served.samples, reference.samples)
 
-        cache = stats.cache
+        cache = stats["cache"]
         print_table(
             "pulse serving (cache 24 of "
             f"{len(store)} pulses, {store.n_shards} shards)",
             ["requests", "pulses/s", "hit rate", "evictions", "shard fills"],
             [
                 [
-                    stats.requests,
+                    stats["requests"],
                     f"{len(trace) / elapsed:.0f}",
-                    f"{cache.hit_rate:.0%}",
-                    cache.evictions,
-                    stats.shard_fills,
+                    f"{cache['hit_rate']:.0%}",
+                    cache["evictions"],
+                    stats["shard_fills"],
                 ]
             ],
         )

@@ -11,9 +11,8 @@ error.  It asserts the properties that must hold anyway:
   :class:`~repro.errors.ReproError` subclass (``StoreError`` /
   ``CompressionError`` / ``ProtocolError`` / overload).  A bare
   ``OSError`` or ``KeyError`` escaping the stack is a violation.
-* **Cache counter laws.**  ``lookups == hits + misses``,
-  ``size <= capacity``, ``insertions - evictions == size`` (no
-  ``clear()`` in the workload), all monotone.
+* **Cache counter laws.**  ``size <= capacity`` and
+  ``insertions - evictions == size`` (no ``clear()`` in the workload).
 * **Single-flight insert-once.**  With capacity >= the key universe,
   every key is decoded and inserted at most once: each fill holds the
   locks of every shard its keys live in (taken in ascending order), so
@@ -22,11 +21,11 @@ error.  It asserts the properties that must hold anyway:
 * **Net accounting.**  After quiesce, every admitted fetch resolved
   exactly one way: ``fetches == fetches_ok + request_errors``
   (overload sheds are refused *before* admission and counted apart).
-* **Metric consistency.**  The metrics registry and the legacy stats
-  dataclasses are one set of books: after quiesce the registry
-  counters must agree with the ``as_dict`` surfaces
-  (``cache.hits + cache.misses == cache.lookups``).  A registry that
-  drifts from the stats it claims to back is a violation.
+
+The counter laws read the plain dicts the ``stats()`` methods return.
+There is no registry-versus-stats check, because each ``stats()`` reads
+the registry's own ``Counter`` objects, and no negativity check,
+because ``Counter.inc`` rejects a negative amount: neither could fail.
 
 Violations accumulate (thread-safely) as human-readable strings;
 :meth:`InvariantChecker.raise_if_violated` turns them into one
@@ -46,8 +45,6 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.pulses.waveform import Waveform
-from repro.store.cache import CacheStats
-from repro.store.server import ServerStats
 
 __all__ = ["InvariantChecker"]
 
@@ -139,118 +136,50 @@ class InvariantChecker:
                     f"for {key}: {exc}"
                 )
 
-    def check_cache(self, stats: CacheStats) -> None:
-        """The counter laws every snapshot must satisfy."""
-        if stats.hits + stats.misses != stats.lookups:
+    def check_cache(self, stats: Mapping) -> None:
+        """The counter laws every ``PulseCache.stats()`` dict must satisfy."""
+        if stats["size"] > stats["capacity"]:
             self._fail(
-                f"cache: hits {stats.hits} + misses {stats.misses} "
-                f"!= lookups {stats.lookups}"
+                f"cache: size {stats['size']} exceeds capacity {stats['capacity']}"
             )
-        elif stats.size > stats.capacity:
+        elif stats["insertions"] - stats["evictions"] != stats["size"]:
             self._fail(
-                f"cache: size {stats.size} exceeds capacity {stats.capacity}"
+                f"cache: insertions {stats['insertions']} - evictions "
+                f"{stats['evictions']} != size {stats['size']}"
             )
-        elif stats.insertions - stats.evictions != stats.size:
-            self._fail(
-                f"cache: insertions {stats.insertions} - evictions "
-                f"{stats.evictions} != size {stats.size}"
-            )
-        elif min(stats.hits, stats.misses, stats.insertions, stats.evictions) < 0:
-            self._fail("cache: a counter went negative")
         else:
             self._pass()
 
-    def check_single_flight(self, stats: ServerStats, n_keys: int) -> None:
-        """With capacity >= the key universe, each key decodes at most once."""
-        cache = stats.cache
-        if cache.capacity < n_keys:
+    def check_single_flight(self, stats: Mapping, n_keys: int) -> None:
+        """With capacity >= the key universe, each key decodes at most once.
+
+        ``stats`` is a ``PulseServer.stats()`` dict.
+        """
+        cache = stats["cache"]
+        if cache["capacity"] < n_keys:
             return  # evictions legitimately force re-decodes
-        if cache.evictions != 0:
+        if cache["evictions"] != 0:
             self._fail(
-                f"single-flight: {cache.evictions} evictions with capacity "
-                f"{cache.capacity} >= {n_keys} keys"
+                f"single-flight: {cache['evictions']} evictions with capacity "
+                f"{cache['capacity']} >= {n_keys} keys"
             )
-        elif cache.insertions > n_keys:
+        elif cache["insertions"] > n_keys:
             self._fail(
-                f"single-flight: {cache.insertions} insertions for "
+                f"single-flight: {cache['insertions']} insertions for "
                 f"{n_keys} distinct keys"
             )
         else:
             self._pass()
 
-    def check_net(self, stats) -> None:
-        """Post-quiesce accounting: every admitted fetch resolved once,
-        and the overload and protocol-error counters never went negative."""
-        if stats.fetches != stats.fetches_ok + stats.request_errors:
+    def check_net(self, stats: Mapping) -> None:
+        """Post-quiesce accounting over a ``NetPulseServer.stats()`` dict:
+        every admitted fetch resolved exactly once."""
+        if stats["fetches"] != stats["fetches_ok"] + stats["request_errors"]:
             self._fail(
-                f"net: fetches {stats.fetches} != fetches_ok "
-                f"{stats.fetches_ok} + request_errors {stats.request_errors}"
+                f"net: fetches {stats['fetches']} != fetches_ok "
+                f"{stats['fetches_ok']} + request_errors {stats['request_errors']}"
             )
-        elif min(stats.overloads, stats.protocol_errors) < 0:
-            self._fail("net: a counter went negative")
         else:
-            self._pass()
-
-    def check_metrics(
-        self,
-        snapshot: Mapping,
-        server_stats: ServerStats,
-        net_stats=None,
-    ) -> None:
-        """The registry and the legacy stats must be one set of books.
-
-        ``snapshot`` is a merged metrics-registry snapshot
-        (:meth:`PulseServer.metrics_snapshot` or
-        :meth:`NetPulseServer.metrics_snapshot`) taken at the same
-        quiesced moment as the stats dataclasses.  Checks both the
-        cross-surface agreement (registry counter == stats field) and
-        the internal counter laws the registry must satisfy on its own.
-        """
-        counters = dict(snapshot.get("counters", {})) if snapshot else {}
-
-        def _expect(name: str, stat_value: int, label: str) -> bool:
-            got = counters.get(name, 0)
-            if got != stat_value:
-                self._fail(
-                    f"metrics: registry {name}={got} disagrees with "
-                    f"{label}={stat_value}"
-                )
-                return False
-            return True
-
-        cache = server_stats.cache
-        ok = True
-        ok &= _expect("cache.hits", cache.hits, "CacheStats.hits")
-        ok &= _expect("cache.misses", cache.misses, "CacheStats.misses")
-        ok &= _expect("cache.insertions", cache.insertions, "CacheStats.insertions")
-        ok &= _expect("cache.evictions", cache.evictions, "CacheStats.evictions")
-        if counters.get("cache.hits", 0) + counters.get("cache.misses", 0) != (
-            cache.lookups
-        ):
-            self._fail(
-                f"metrics: cache.hits {counters.get('cache.hits', 0)} + "
-                f"cache.misses {counters.get('cache.misses', 0)} != "
-                f"lookups {cache.lookups}"
-            )
-            ok = False
-        ok &= _expect("server.requests", server_stats.requests, "ServerStats.requests")
-        ok &= _expect(
-            "server.shard_fills", server_stats.shard_fills, "ServerStats.shard_fills"
-        )
-        if net_stats is not None:
-            ok &= _expect("net.fetches", net_stats.fetches, "NetServerStats.fetches")
-            ok &= _expect(
-                "net.fetches_ok", net_stats.fetches_ok, "NetServerStats.fetches_ok"
-            )
-            ok &= _expect(
-                "net.overloads", net_stats.overloads, "NetServerStats.overloads"
-            )
-            ok &= _expect(
-                "net.request_errors",
-                net_stats.request_errors,
-                "NetServerStats.request_errors",
-            )
-        if ok:
             self._pass()
 
     # -- reporting -----------------------------------------------------------

@@ -276,10 +276,8 @@ def _net_phase(
         for thread in workers:
             thread.join()
         stats = handle.stats()
-        snapshot = handle.server.metrics_snapshot()
     checker.check_net(stats)
-    checker.check_metrics(snapshot, server.stats(), net_stats=stats)
-    return sum(requests), stats.as_dict()
+    return sum(requests), stats
 
 
 class _VersionedOracle:
@@ -604,7 +602,7 @@ def _write_phase(
                 f"write storm: {key} diverges from its newest committed "
                 "version after compaction"
             )
-    rw_stats = server.stats().as_dict()
+    rw_stats = server.stats()
     server.close()
     writer.close()
 
@@ -674,9 +672,8 @@ def run_chaos(
                     server, keys, checker, seed, threads, ops_per_thread,
                     batch_size,
                 )
-                checker.check_single_flight(server.stats(), len(keys))
-                checker.check_metrics(server.metrics_snapshot(), server.stats())
-                server_stats = server.stats().as_dict()
+                server_stats = server.stats()
+                checker.check_single_flight(server_stats, len(keys))
 
             # Phase 2: the same faulty store behind a real socket.
             requests_net, net_stats = 0, {}
@@ -705,10 +702,6 @@ def run_chaos(
                         else:
                             if checker.check_identity(key, waveform):
                                 recovery_reads += 1
-                    checker.check_metrics(
-                        recovery_server.metrics_snapshot(),
-                        recovery_server.stats(),
-                    )
 
             # Phase 4: the write storm -- commit-protocol faults over a
             # separate writable copy while readers adopt generations.

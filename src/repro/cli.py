@@ -848,7 +848,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     identity_ok = False
                     break
 
-    cache = stats.cache
+    cache = stats["cache"]
     print(
         render_table(
             f"{store.device_name}: served {len(trace)} requests "
@@ -856,15 +856,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ["requests", "pulses/s", "hits", "misses", "evictions", "hit rate"],
             [
                 [
-                    stats.requests,
+                    stats["requests"],
                     f"{len(trace) / elapsed:.0f}" if elapsed > 0 else "inf",
-                    cache.hits,
-                    cache.misses,
-                    cache.evictions,
-                    f"{cache.hit_rate:.0%}",
+                    cache["hits"],
+                    cache["misses"],
+                    cache["evictions"],
+                    f"{cache['hit_rate']:.0%}",
                 ]
             ],
-            note=f"trace: {source}, shard fills: {stats.shard_fills}"
+            note=f"trace: {source}, shard fills: {stats['shard_fills']}"
             + (f", prewarmed: {prewarmed} pulses" if args.prewarm else "")
             + (
                 ""

@@ -22,7 +22,6 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ReproError
-from repro.pulses.waveform import Waveform
 
 __all__ = ["FdmPlan", "max_fdm_channels", "plan_fdm", "FdmMixer"]
 

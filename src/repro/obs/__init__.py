@@ -3,8 +3,8 @@
 Three pieces:
 
 - :mod:`repro.obs.registry` -- thread-safe counters/gauges/histograms
-  with mergeable snapshots and Prometheus text exposition.  The legacy
-  stats dataclasses are views over these metrics.
+  with mergeable snapshots and Prometheus text exposition.  Each
+  serving layer's ``stats()`` dict reads these same counters.
 - :mod:`repro.obs.trace` -- sampled request tracing with spans that
   propagate client -> net server -> serving.
 - :mod:`repro.obs.httpd` -- a stdlib HTTP endpoint for scrapers.

@@ -1,9 +1,9 @@
 """Thread-safe metrics registry: counters, gauges, latency histograms.
 
 This module is the single source of truth for every counter in the
-serving stack.  The legacy stats dataclasses (``CacheStats``,
-``ServerStats``, ``NetServerStats``) are frozen views
-built from these metrics, so the two surfaces can never drift.
+serving stack.  Each layer's ``stats()`` dict reads the same
+:class:`Counter` objects its registry snapshot reads, so the two
+surfaces can never drift.
 
 Design constraints, in order:
 
@@ -15,8 +15,9 @@ Design constraints, in order:
    bench's instrumentation leg gates the total overhead at <= 5%.
 2. **Exact under races.**  N threads calling ``inc()`` concurrently
    sum exactly -- no sampled or sloppy counters -- because the chaos
-   invariant checker cross-checks registry counters against the legacy
-   stats after every soak phase.
+   invariant checker's counter laws (``insertions - evictions ==
+   size``, ``fetches == fetches_ok + request_errors``) hold only on
+   exact counts.
 3. **Mergeable.**  ``snapshot()`` produces a plain-dict value that
    :func:`merge_snapshots` combines associatively and commutatively,
    which is what lets a server fold a shared cache's registry and the

@@ -389,7 +389,7 @@ def run_network_bench(
                 "warm_p99_ms": warm_latency["p99"],
                 "overdrive": overdrive.as_dict(),
                 "overdrive_overloads": overdrive.overloads,
-                "overdrive_server_overloads": net_stats.overloads,
+                "overdrive_server_overloads": net_stats["overloads"],
                 "overdrive_peak_outstanding": overdrive.peak_outstanding,
             }
         )

@@ -483,15 +483,15 @@ def run_serving_bench(
                     # pass, then timed replays.
                     with PulseServer(store, cache_capacity=cache_size) as server:
                         _serve_trace(server, trace, batch_size)
-                        before = server.stats()
+                        before = server.stats()["cache"]
                         warm_stats, _ = time_callable(
                             lambda: _serve_trace(server, trace, batch_size),
                             repeats,
                             warmup,
                         )
-                        after = server.stats()
-                        warm_lookups = after.cache.lookups - before.cache.lookups
-                        warm_hits = after.cache.hits - before.cache.hits
+                        after = server.stats()["cache"]
+                        warm_hits = after["hits"] - before["hits"]
+                        warm_lookups = warm_hits + after["misses"] - before["misses"]
                         identity = _identity_ok(server, store, reference)
                     warm_pps = warm_stats.throughput(len(trace))
 

@@ -55,7 +55,6 @@ from repro.serve_net.protocol import (
 from repro.serve_net.server import (
     NetPulseServer,
     NetServerHandle,
-    NetServerStats,
     serve_in_thread,
 )
 from repro.serve_net.client import PulseClient, parse_address
@@ -81,7 +80,6 @@ __all__ = [
     "OBS_EXT_VERSION",
     "NetPulseServer",
     "NetServerHandle",
-    "NetServerStats",
     "serve_in_thread",
     "PulseClient",
     "parse_address",

@@ -272,7 +272,7 @@ class PulseClient:
         return time.perf_counter() - start
 
     def stats(self) -> Dict:
-        """The server's counter snapshot (see ``NetServerStats.as_dict``)."""
+        """The server's counters: the dict ``NetPulseServer.stats()`` returns."""
         return self._json(protocol.encode_stats(), protocol.MSG_STATS, "stats")
 
     def keys(self) -> List[_Key]:

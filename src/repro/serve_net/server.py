@@ -40,53 +40,20 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.errors import ProtocolError, ReproError, StoreError
 from repro.obs import MetricsRegistry, Tracer, default_registry, merge_snapshots
 from repro.obs import trace as obs_trace
 from repro.serve_net import protocol
-from repro.store.server import PulseServer, ServerStats
+from repro.store.server import PulseServer
 
-__all__ = ["NetServerStats", "NetPulseServer", "NetServerHandle", "serve_in_thread"]
+__all__ = ["NetPulseServer", "NetServerHandle", "serve_in_thread"]
 
 #: How long the server waits for the rest of a frame once its length
 #: prefix has arrived.  An idle connection may sit quietly forever; a
 #: half-sent frame may not.
 FRAME_COMPLETION_TIMEOUT = 30.0
-
-
-@dataclass(frozen=True, slots=True)
-class NetServerStats:
-    """A point-in-time snapshot of one network server's counters."""
-
-    connections_accepted: int
-    connections_open: int
-    requests: int
-    fetches: int
-    fetches_ok: int
-    pulses_served: int
-    overloads: int
-    request_errors: int
-    protocol_errors: int
-    draining: bool
-    serving: ServerStats
-
-    def as_dict(self) -> Dict:
-        return {
-            "connections_accepted": self.connections_accepted,
-            "connections_open": self.connections_open,
-            "requests": self.requests,
-            "fetches": self.fetches,
-            "fetches_ok": self.fetches_ok,
-            "pulses_served": self.pulses_served,
-            "overloads": self.overloads,
-            "request_errors": self.request_errors,
-            "protocol_errors": self.protocol_errors,
-            "draining": self.draining,
-            "serving": self.serving.as_dict(),
-        }
 
 
 class NetPulseServer:
@@ -242,21 +209,24 @@ class NetPulseServer:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def stats(self) -> NetServerStats:
-        """Frozen :class:`NetServerStats` view over the registry counters."""
-        return NetServerStats(
-            connections_accepted=self._connections_accepted.value,
-            connections_open=len(self._connections),
-            requests=self._requests.value,
-            fetches=self._fetches.value,
-            fetches_ok=self._fetches_ok.value,
-            pulses_served=self._pulses_served.value,
-            overloads=self._overloads.value,
-            request_errors=self._request_errors.value,
-            protocol_errors=self._protocol_errors.value,
-            draining=self._draining,
-            serving=self.serving.stats(),
-        )
+    def stats(self) -> Dict:
+        """This server's counters, with the serving layer's under ``"serving"``.
+
+        The ``STATS`` wire reply is this dict as JSON.
+        """
+        return {
+            "connections_accepted": self._connections_accepted.value,
+            "connections_open": len(self._connections),
+            "requests": self._requests.value,
+            "fetches": self._fetches.value,
+            "fetches_ok": self._fetches_ok.value,
+            "pulses_served": self._pulses_served.value,
+            "overloads": self._overloads.value,
+            "request_errors": self._request_errors.value,
+            "protocol_errors": self._protocol_errors.value,
+            "draining": self._draining,
+            "serving": self.serving.stats(),
+        }
 
     def metrics_snapshot(self) -> Dict:
         """Full merged snapshot: net tier + serving stack + module metrics.
@@ -346,7 +316,7 @@ class NetPulseServer:
         if isinstance(request, protocol.PingRequest):
             return await self._best_effort_send(writer, protocol.encode_reply_ping())
         if isinstance(request, protocol.StatsRequest):
-            blob = json.dumps(self.stats().as_dict()).encode("utf-8")
+            blob = json.dumps(self.stats()).encode("utf-8")
             return await self._best_effort_send(
                 writer, protocol.encode_reply_stats(blob)
             )
@@ -486,7 +456,7 @@ class NetServerHandle:
             raise StoreError("network server is not running")
         return self._server
 
-    def stats(self) -> NetServerStats:
+    def stats(self) -> Dict:
         """Counter snapshot (int reads are atomic under the GIL)."""
         return self.server.stats()
 

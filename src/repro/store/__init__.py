@@ -13,9 +13,9 @@ production controller:
   compiled library as generation 1, and :class:`StoreWriter`, which
   commits and compacts the generations after it.
 - :mod:`repro.store.cache` -- :class:`PulseCache`, a bounded LRU of
-  *decoded* waveforms with exact hit/miss/eviction counters and a
-  batch-aware ``get_many`` that decodes misses through the fused
-  parse→decode fast path (``ShardedStore.decode_many``).
+  *decoded* waveforms with exact hit/miss/eviction counters, whose
+  ``load_many`` fills misses through the fused parse→decode fast path
+  (``ShardedStore.decode_many``).
 - :mod:`repro.store.server` -- :class:`PulseServer`, the thread-safe
   ``fetch`` / ``fetch_batch`` front end with per-shard single-flight;
   a batch's misses fill in one fused decode on the calling thread,
@@ -50,8 +50,8 @@ from repro.store.sharded import (
     open_store,
     shard_index,
 )
-from repro.store.cache import CacheStats, PulseCache
-from repro.store.server import PulseServer, ServerStats
+from repro.store.cache import PulseCache
+from repro.store.server import PulseServer
 from repro.store.verify import VerifyReport, verify_store
 from repro.store.writable import (
     COMMIT_HOOK_POINTS,
@@ -84,9 +84,7 @@ __all__ = [
     "COMPACT_HOOK_POINTS",
     "VerifyReport",
     "verify_store",
-    "CacheStats",
     "PulseCache",
-    "ServerStats",
     "PulseServer",
     "load_trace",
     "write_trace",

@@ -5,38 +5,40 @@ image lives in the :class:`~repro.store.sharded.ShardedStore` (cheap,
 large), and a small hot set of fully decoded
 :class:`~repro.pulses.waveform.Waveform` objects lives here (expensive,
 bounded).  Every miss is a demand fetch -- one offset-indexed record
-read plus a decode -- and :meth:`PulseCache.get_many` amortizes decode
-cost by grouping miss reads per shard (sequential, mmap-backed I/O)
-and pushing *all* missed records through the fused parse→decode fast
+read plus a decode -- and :meth:`PulseCache.load_many` amortizes decode
+cost by reading the missed records per shard (sequential, mmap-backed
+I/O) and pushing *all* of them through the fused parse→decode fast
 path (:meth:`repro.store.sharded.ShardedStore.decode_many`, built on
 :mod:`repro.compression.fastpath`) in one call instead of decoding
 pulse by pulse -- bit-identical to the scalar reference.
 
-The cache is thread-safe (a single reentrant lock guards the LRU map
-and counters) but deliberately does **not** deduplicate concurrent
-misses for the same pulse -- that single-flight policy belongs to the
-serving layer (:class:`repro.store.server.PulseServer`), which fills
-all of a batch's misses with one :meth:`PulseCache.load_many` call
-while holding the locks of the shards they live in.
+The cache holds primitives, not a read path: :meth:`~PulseCache.lookup`
+(counted probe), :meth:`~PulseCache.peek` (uncounted probe),
+:meth:`~PulseCache.load_many` (fill) and :meth:`~PulseCache.prewarm`.
+:meth:`repro.store.server.PulseServer.fetch_batch` composes them into
+the one read path.  The cache is thread-safe (a single reentrant lock
+guards the LRU map and counters) but deliberately does **not**
+deduplicate concurrent misses for the same pulse -- that single-flight
+policy belongs to the serving layer, which fills all of a batch's
+misses with one :meth:`PulseCache.load_many` call while holding the
+locks of the shards they live in.
 
 Counters (hits / misses / insertions / evictions) are monotonic and
-exact: every :meth:`get`, :meth:`get_many`, or :meth:`lookup` resolves
-each distinct requested key to exactly one hit or one miss, capacity is
-never exceeded, and eviction strictly follows least-recent use.  The
-property suite in ``tests/test_serving.py`` holds the implementation to
-a shadow-model of exactly these rules.
+exact: every :meth:`lookup` resolves one key to exactly one hit or one
+miss, capacity is never exceeded, and eviction strictly follows
+least-recent use.  The property suite in ``tests/test_serving.py``
+holds the implementation to a shadow-model of exactly these rules.
 
 The counters live in a :class:`repro.obs.MetricsRegistry` (each cache
 owns a private one unless the caller passes ``metrics=``), and
-:class:`CacheStats` is a frozen view over those registry counters --
-one source of truth for both surfaces.
+:meth:`PulseCache.stats` reads those same counter objects into a plain
+dict -- one set of books for both surfaces.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +49,7 @@ from repro.pulses.waveform import Waveform
 from repro.store.hooks import preempt
 from repro.store.sharded import ShardedStore, normalize_key
 
-__all__ = ["CacheStats", "PulseCache"]
+__all__ = ["PulseCache"]
 
 _Key = Tuple[str, Tuple[int, ...]]
 
@@ -96,38 +98,6 @@ def _lock_samples(waveform: Waveform) -> Waveform:
     set_(locked, "qubits", waveform.qubits)
     set_(locked, "metadata", waveform.metadata)
     return locked
-
-
-@dataclass(frozen=True, slots=True)
-class CacheStats:
-    """A point-in-time snapshot of one cache's counters."""
-
-    capacity: int
-    size: int
-    hits: int
-    misses: int
-    insertions: int
-    evictions: int
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup; 0.0 before any traffic."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "capacity": self.capacity,
-            "size": self.size,
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class PulseCache:
@@ -329,38 +299,6 @@ class PulseCache:
                 self._invalidations.inc()
             return len(stale)
 
-    # -- the public read path -------------------------------------------------
-
-    def get(self, gate: str, qubits: Sequence[int]) -> Waveform:
-        """One decoded pulse: cache hit, or demand fetch + decode."""
-        cached = self.lookup(gate, qubits)
-        if cached is not None:
-            return cached
-        key = normalize_key(gate, qubits)
-        return self.load_many([key])[key]
-
-    def get_many(
-        self, requests: Sequence[Tuple[str, Sequence[int]]]
-    ) -> List[Waveform]:
-        """Batch read: misses are grouped per shard and decoded together.
-
-        Each *distinct* requested pulse counts exactly one hit or miss;
-        duplicate keys inside one call share the first occurrence's
-        outcome.  Results come back in request order.
-        """
-        keys = [normalize_key(*request) for request in requests]
-        resolved: Dict[_Key, Waveform] = {}
-        missing: List[_Key] = []
-        for key in dict.fromkeys(keys):
-            cached = self.lookup(*key)
-            if cached is not None:
-                resolved[key] = cached
-            else:
-                missing.append(key)
-        if missing:
-            resolved.update(self.load_many(missing))
-        return [resolved[key] for key in keys]
-
     # -- bookkeeping ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -402,14 +340,19 @@ class PulseCache:
         """This cache's registry snapshot (``cache.*`` series)."""
         return self.metrics.snapshot()
 
-    def stats(self) -> CacheStats:
-        """Frozen :class:`CacheStats` view over the registry counters."""
+    def stats(self) -> Dict[str, float]:
+        """This cache's counters, read under its lock.
+
+        ``hit_rate`` is hits per lookup, 0.0 before any traffic.
+        """
         with self._lock:
-            return CacheStats(
-                capacity=self.capacity,
-                size=len(self._lru),
-                hits=self._hits.value,
-                misses=self._misses.value,
-                insertions=self._insertions.value,
-                evictions=self._evictions.value,
-            )
+            hits, misses = self._hits.value, self._misses.value
+            return {
+                "capacity": self.capacity,
+                "size": len(self._lru),
+                "hits": hits,
+                "misses": misses,
+                "insertions": self._insertions.value,
+                "evictions": self._evictions.value,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            }

@@ -42,40 +42,19 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
 from repro.obs import MetricsRegistry, merge_snapshots
 from repro.obs import trace as obs_trace
 from repro.pulses.waveform import Waveform
-from repro.store.cache import CacheStats, PulseCache
+from repro.store.cache import PulseCache
 from repro.store.hooks import preempt
 from repro.store.sharded import ShardedStore, normalize_key
 
-__all__ = ["ServerStats", "PulseServer"]
+__all__ = ["PulseServer"]
 
 _Key = Tuple[str, Tuple[int, ...]]
-
-
-@dataclass(frozen=True, slots=True)
-class ServerStats:
-    """A point-in-time snapshot of one server's counters."""
-
-    requests: int
-    batches: int
-    shard_fills: int
-    coalesced_fills: int
-    cache: CacheStats
-
-    def as_dict(self) -> Dict:
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "shard_fills": self.shard_fills,
-            "coalesced_fills": self.coalesced_fills,
-            "cache": self.cache.as_dict(),
-        }
 
 
 class PulseServer:
@@ -279,13 +258,13 @@ class PulseServer:
             snapshots.append(self.cache.metrics.snapshot())
         return merge_snapshots(*snapshots)
 
-    def stats(self) -> ServerStats:
-        """Frozen :class:`ServerStats` view over the registry counters."""
+    def stats(self) -> Dict:
+        """This server's counters, with its cache's under ``"cache"``."""
         with self._stats_lock:
-            return ServerStats(
-                requests=self._requests.value,
-                batches=self._batches.value,
-                shard_fills=self._shard_fills.value,
-                coalesced_fills=self._coalesced_fills.value,
-                cache=self.cache.stats(),
-            )
+            return {
+                "requests": self._requests.value,
+                "batches": self._batches.value,
+                "shard_fills": self._shard_fills.value,
+                "coalesced_fills": self._coalesced_fills.value,
+                "cache": self.cache.stats(),
+            }

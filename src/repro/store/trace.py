@@ -18,6 +18,7 @@ object::
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from typing import List, Sequence, Tuple, Union
 
@@ -51,12 +52,13 @@ def _parse_request(raw, position: int) -> _Key:
         raise StoreError(f"trace request {position} has no gate name")
     if not isinstance(qubits, (list, tuple)):
         raise StoreError(f"trace request {position} qubits must be a list")
-    try:
-        return (gate, tuple(int(q) for q in qubits))
-    except (TypeError, ValueError):
+    # JSON integers only: int() would read 0.9 as 0 and true or "1" as
+    # 1, and the trace would replay a pulse it does not name.
+    if not all(type(q) is int for q in qubits):
         raise StoreError(
             f"trace request {position} has non-integer qubits {qubits!r}"
-        ) from None
+        )
+    return (gate, tuple(qubits))
 
 
 def load_trace(path: Union[str, pathlib.Path]) -> List[_Key]:
@@ -108,15 +110,15 @@ def synthetic_trace(
         keys: The request population (e.g. ``store.keys()``).
         n_requests: Trace length (>= 1).
         seed: RNG seed; same inputs always yield the same trace.
-        skew: Zipf exponent (>= 0).
+        skew: Zipf exponent (finite, >= 0).
     """
     population = [normalize_key(gate, qubits) for gate, qubits in keys]
     if not population:
         raise StoreError("cannot synthesize a trace over zero keys")
     if n_requests < 1:
         raise StoreError(f"n_requests must be >= 1, got {n_requests}")
-    if skew < 0:
-        raise StoreError(f"skew must be >= 0, got {skew}")
+    if not (math.isfinite(skew) and skew >= 0):
+        raise StoreError(f"skew must be finite and >= 0, got {skew}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(population))
     weights = np.arange(1, len(population) + 1, dtype=float) ** -skew
@@ -138,13 +140,13 @@ def arrival_times(n_requests: int, rate: float, seed: int = 0) -> np.ndarray:
 
     Args:
         n_requests: Number of arrivals (>= 1).
-        rate: Mean arrival rate in requests/second (> 0).
+        rate: Mean arrival rate in requests/second (finite, > 0).
         seed: RNG seed; the same seed gives the same schedule.
     """
     if n_requests < 1:
         raise StoreError(f"n_requests must be >= 1, got {n_requests}")
-    if rate <= 0:
-        raise StoreError(f"rate must be > 0, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise StoreError(f"rate must be finite and > 0, got {rate}")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1.0 / rate, size=n_requests)
     times = np.cumsum(gaps)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CompressionError
 from repro.compression.bitstream import (
+    LibraryEntry,
     RecordSpan,
     _Writer,
     _channel_block_bytes,
@@ -53,8 +54,6 @@ from repro.devices import ibm_device
 from repro.obs import default_registry
 from repro.pulses import Waveform
 from repro.store import PulseCache, PulseServer, ShardedStore, StoreWriter, save_store
-from repro.store.cache import CacheStats
-from repro.store.server import ServerStats
 from repro.store.sharded import StoreRecord
 from repro.transforms.rle import EncodedWindow
 from sample_identity import assert_same_samples
@@ -365,13 +364,13 @@ class TestStoreFastPath:
             assert inserted == len(sharded)
             assert len(cache) == len(sharded)
             stats = cache.stats()
-            assert stats.hits == 0 and stats.misses == 0  # not traffic
+            assert stats["hits"] == 0 and stats["misses"] == 0  # not traffic
             key = sharded.keys()[0]
             assert_same_samples(
-                cache.get(*key),
+                cache.lookup(*key),
                 decompress_waveform(compiled.result(*key).compressed),
             )
-            assert cache.stats().hits == 1
+            assert cache.stats()["hits"] == 1
         assert sharded.open_shard_handles == 0
 
     def test_prewarm_stops_at_capacity_without_churn(self, store):
@@ -380,7 +379,7 @@ class TestStoreFastPath:
         inserted = cache.prewarm()
         stats = cache.stats()
         assert inserted == 4 == len(cache)
-        assert stats.evictions == 0  # no decode-then-evict churn
+        assert stats["evictions"] == 0  # no decode-then-evict churn
 
     def test_server_close_releases_pool_and_keeps_serving(self, store):
         sharded, compiled = store
@@ -409,9 +408,9 @@ class TestSlots:
                 gate="x", qubits=(0,), shard=0, offset=0, length=4,
                 mse=0.0, threshold=0.0,
             ),
-            CacheStats(
-                capacity=1, size=0, hits=0, misses=0, insertions=0,
-                evictions=0,
+            LibraryEntry(
+                gate="x", qubits=(0,), mse=0.0, threshold=0.0,
+                compressed=_record_blob(8)[1],
             ),
         ],
     )
@@ -424,7 +423,6 @@ class TestSlots:
         assert not hasattr(compressed, "__dict__")
         assert not hasattr(compressed.i_channel, "__dict__")
         assert not hasattr(compressed.i_channel.windows[0], "__dict__")
-        assert "__dict__" not in ServerStats.__dict__.get("__slots__", ())
 
     def test_window_invariants_still_enforced(self):
         with pytest.raises(CompressionError):

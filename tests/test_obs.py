@@ -6,9 +6,10 @@ within one bucket's width otherwise; counters incremented from N
 racing threads sum *exactly* (no lost updates); snapshot merging is
 associative, commutative, and None-safe (the algebra that makes
 per-worker aggregation order-independent); the trace ring stays
-bounded under a storm of traces; the Prometheus exposition parses; and
-the METRICS/TRACES wire messages round-trip over a real socket with
-counters that agree with the legacy stats surfaces.
+bounded under a storm of traces; the Prometheus exposition parses; the
+METRICS/TRACES wire messages round-trip over a real socket; and each
+layer's ``stats()`` dict keeps its pinned keys, in process and over
+the wire.
 """
 
 import json
@@ -39,7 +40,7 @@ from repro.obs import (
     start_metrics_server,
 )
 from repro.serve_net import PulseClient, serve_in_thread
-from repro.store import PulseServer, save_store
+from repro.store import PulseCache, PulseServer, save_store
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +416,8 @@ class TestWireExposure:
                 stats = handle.server.stats()
         assert len(served) == len(keys)
         counters = snapshot["counters"]
-        assert counters["net.fetches"] == stats.fetches == 1
-        assert counters["net.fetches_ok"] == stats.fetches_ok == 1
+        assert counters["net.fetches"] == stats["fetches"] == 1
+        assert counters["net.fetches_ok"] == stats["fetches_ok"] == 1
         assert counters["cache.misses"] == len(keys)
         assert counters["server.requests"] >= 1
         assert "net.request_seconds" in snapshot["histograms"]
@@ -451,3 +452,168 @@ class TestWireExposure:
                         blob = json.loads(response.read().decode("utf-8"))
         assert "net_fetches 1" in text.splitlines()
         assert blob["counters"]["net.fetches"] == 1
+
+
+class TestStatsKeySetPins:
+    """Each layer's ``stats()`` dict, pinned on live objects.
+
+    The key sets are public: the CQN1 STATS reply is the network
+    server's dict as JSON, and the chaos harness and dashboards read
+    these keys.  A registry rename must never leak into them.
+    """
+
+    CACHE_KEYS = {
+        "capacity",
+        "size",
+        "hits",
+        "misses",
+        "insertions",
+        "evictions",
+        "hit_rate",
+    }
+    SERVER_KEYS = {"requests", "batches", "shard_fills", "coalesced_fills", "cache"}
+    NET_KEYS = {
+        "connections_accepted",
+        "connections_open",
+        "requests",
+        "fetches",
+        "fetches_ok",
+        "pulses_served",
+        "overloads",
+        "request_errors",
+        "protocol_errors",
+        "draining",
+        "serving",
+    }
+
+    def test_stats_reply_is_the_in_process_dict(self, obs_store):
+        k0, k1 = obs_store.keys()[:2]
+        with PulseServer(obs_store, cache_capacity=1) as serving:
+            with serve_in_thread(serving) as handle:
+                with PulseClient(*handle.address) as client:
+                    client.fetch(*k0)
+                    client.fetch_batch([k0, k1, k1])
+                    wire = client.stats()
+                    local = handle.stats()
+        assert wire == local
+        assert set(local) == self.NET_KEYS
+        assert set(local["serving"]) == self.SERVER_KEYS
+        assert set(local["serving"]["cache"]) == self.CACHE_KEYS
+        # k0 misses and fills; the batch hits k0, then misses k1 once,
+        # and inserting k1 evicts k0 from the one-slot cache.  The STATS
+        # request itself is the third net request.
+        assert local == {
+            "connections_accepted": 1,
+            "connections_open": 1,
+            "requests": 3,
+            "fetches": 2,
+            "fetches_ok": 2,
+            "pulses_served": 4,
+            "overloads": 0,
+            "request_errors": 0,
+            "protocol_errors": 0,
+            "draining": False,
+            "serving": {
+                "requests": 4,
+                "batches": 2,
+                "shard_fills": 2,
+                "coalesced_fills": 0,
+                "cache": {
+                    "capacity": 1,
+                    "size": 1,
+                    "hits": 1,
+                    "misses": 2,
+                    "insertions": 2,
+                    "evictions": 1,
+                    "hit_rate": 1 / 3,
+                },
+            },
+        }
+
+    def test_disabled_registry_still_returns_every_key(self, obs_store):
+        metrics = MetricsRegistry(enabled=False)
+        with PulseServer(obs_store, cache_capacity=1, metrics=metrics) as server:
+            server.fetch(*obs_store.keys()[0])
+            stats = server.stats()
+        cache = stats["cache"]
+        assert set(stats) == self.SERVER_KEYS
+        assert set(cache) == self.CACHE_KEYS
+        assert stats["requests"] == cache["hits"] == cache["misses"] == 0
+        assert (cache["size"], cache["hit_rate"]) == (1, 0.0)
+
+    def test_cache_stats_key_set(self, obs_store):
+        # The cache's own primitives: a counted miss, a fill, a hit.
+        cache = PulseCache(obs_store, capacity=2)
+        key = obs_store.keys()[0]
+        assert cache.lookup(*key) is None
+        cache.load_many([key])
+        assert cache.lookup(*key) is not None
+        stats = cache.stats()
+        assert set(stats) == self.CACHE_KEYS
+        assert stats == {
+            "capacity": 2,
+            "size": 1,
+            "hits": 1,
+            "misses": 1,
+            "insertions": 1,
+            "evictions": 0,
+            "hit_rate": 0.5,
+        }
+
+    def test_server_stats_key_set(self, obs_store):
+        # Before any traffic: every key, zero counters, hit_rate 0.0.
+        with PulseServer(obs_store, cache_capacity=2) as server:
+            stats = server.stats()
+        assert set(stats) == self.SERVER_KEYS
+        assert stats == {
+            "requests": 0,
+            "batches": 0,
+            "shard_fills": 0,
+            "coalesced_fills": 0,
+            "cache": {
+                "capacity": 2,
+                "size": 0,
+                "hits": 0,
+                "misses": 0,
+                "insertions": 0,
+                "evictions": 0,
+                "hit_rate": 0.0,
+            },
+        }
+
+    def test_net_server_stats_key_set(self, obs_store):
+        with PulseServer(obs_store, cache_capacity=2) as serving:
+            with serve_in_thread(serving) as handle:
+                live = handle.stats()
+            drained = handle.stats()
+        assert set(live) == set(drained) == self.NET_KEYS
+        assert (live["draining"], drained["draining"]) == (False, True)
+
+
+class TestStatsDictSurface:
+    """Each layer's ``stats()`` nests the dict of the layer below it."""
+
+    def test_hit_rate_is_hits_per_lookup(self, obs_store):
+        k0, k1 = obs_store.keys()[:2]
+        with PulseServer(obs_store, cache_capacity=8) as server:
+            for key in (k0, k0, k0, k0, k1):
+                server.fetch(*key)
+            cache = server.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (3, 2)
+        assert cache["hit_rate"] == 3 / 5
+
+    def test_server_stats_nest_the_cache_stats(self, obs_store):
+        with PulseServer(obs_store, cache_capacity=2) as server:
+            server.fetch_batch(obs_store.keys()[:3])
+            stats = server.stats()
+            assert stats["cache"] == server.cache.stats()
+        assert (stats["cache"]["insertions"], stats["cache"]["evictions"]) == (3, 1)
+
+    def test_net_stats_nest_the_server_stats(self, obs_store):
+        with PulseServer(obs_store, cache_capacity=4) as serving:
+            with serve_in_thread(serving) as handle:
+                with PulseClient(*handle.address) as client:
+                    client.fetch_batch(obs_store.keys()[:2])
+                stats = handle.stats()
+            assert stats["serving"] == serving.stats()
+        assert stats["serving"]["cache"]["insertions"] == 2

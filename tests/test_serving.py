@@ -63,70 +63,77 @@ def _assert_served(reference, key, waveform):
 
 
 class TestPulseCache:
+    """The cache's counters and LRU order, driven through its one read
+    path, ``PulseServer.fetch`` / ``fetch_batch``, and the primitives
+    that path is built on."""
+
     def test_capacity_validated(self, store):
         with pytest.raises(StoreError):
             PulseCache(store, capacity=0)
 
     def test_get_is_bit_identical_to_scalar(self, store, reference):
+        # A counted miss, a load_many fill, then a counted hit.
         cache = PulseCache(store, capacity=4)
         for key in store.keys():
-            _assert_served(reference, key, cache.get(*key))
+            assert cache.lookup(*key) is None
+            _assert_served(reference, key, cache.load_many([key])[key])
+            _assert_served(reference, key, cache.lookup(*key))
 
     def test_hit_and_miss_counters(self, store):
-        cache = PulseCache(store, capacity=8)
-        key = store.keys()[0]
-        cache.get(*key)
-        cache.get(*key)
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.lookups == 2
-        assert stats.hit_rate == 0.5
+        with PulseServer(store, cache_capacity=8) as server:
+            key = store.keys()[0]
+            server.fetch(*key)
+            server.fetch(*key)
+            stats = server.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert stats["hit_rate"] == 0.5
 
     def test_capacity_never_exceeded_and_eviction_is_lru(self, store):
         keys = store.keys()
-        cache = PulseCache(store, capacity=3)
-        k0, k1, k2, k3 = keys[:4]
-        for key in (k0, k1, k2):
-            cache.get(*key)
-        cache.get(*k0)  # refresh k0: k1 is now least recent
-        cache.get(*k3)  # forces one eviction
-        assert len(cache) == 3
-        held = cache.cached_keys()
-        assert k1 not in held
-        assert held == [k2, k0, k3]  # least-recent first
-        assert cache.stats().evictions == 1
+        with PulseServer(store, cache_capacity=3) as server:
+            k0, k1, k2, k3 = keys[:4]
+            for key in (k0, k1, k2):
+                server.fetch(*key)
+            server.fetch(*k0)  # refresh k0: k1 is now least recent
+            server.fetch(*k3)  # forces one eviction
+            assert len(server.cache) == 3
+            held = server.cache.cached_keys()
+            assert k1 not in held
+            assert held == [k2, k0, k3]  # least-recent first
+            assert server.cache.stats()["evictions"] == 1
 
-    def test_get_many_counts_each_distinct_key_once(self, store):
+    def test_fetch_batch_counts_each_distinct_key_once(self, store):
         keys = store.keys()
-        cache = PulseCache(store, capacity=8)
-        out = cache.get_many([keys[0], keys[1], keys[0], keys[1]])
+        with PulseServer(store, cache_capacity=8) as server:
+            out = server.fetch_batch([keys[0], keys[1], keys[0], keys[1]])
+            stats = server.cache.stats()
         assert len(out) == 4
-        stats = cache.stats()
-        assert (stats.hits, stats.misses) == (0, 2)
+        assert (stats["hits"], stats["misses"]) == (0, 2)
         assert np.array_equal(out[0].samples, out[2].samples)
 
-    def test_get_many_request_order_and_identity(self, store, reference):
-        cache = PulseCache(store, capacity=64)
+    def test_fetch_batch_request_order_and_identity(self, store, reference):
         requests = list(reversed(store.keys())) + store.keys()[:5]
-        served = cache.get_many(requests)
+        with PulseServer(store, cache_capacity=64) as server:
+            served = server.fetch_batch(requests)
+        assert len(served) == len(requests)
         for key, waveform in zip(requests, served):
             _assert_served(reference, key, waveform)
 
     def test_peek_counts_nothing(self, store):
-        cache = PulseCache(store, capacity=4)
-        key = store.keys()[0]
-        assert cache.peek(*key) is None
-        cache.get(*key)
-        assert cache.peek(*key) is not None
-        stats = cache.stats()
-        assert stats.lookups == 1  # only the get() counted
+        with PulseServer(store, cache_capacity=4) as server:
+            key = store.keys()[0]
+            assert server.cache.peek(*key) is None
+            server.fetch(*key)
+            assert server.cache.peek(*key) is not None
+            stats = server.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)  # only the fetch
 
     def test_clear_keeps_counter_history(self, store):
-        cache = PulseCache(store, capacity=4)
-        cache.get(*store.keys()[0])
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().misses == 1
+        with PulseServer(store, cache_capacity=4) as server:
+            server.fetch(*store.keys()[0])
+            server.cache.clear()
+            assert len(server.cache) == 0
+            assert server.cache.stats()["misses"] == 1
 
 
 class TestCacheLruModel:
@@ -137,27 +144,27 @@ class TestCacheLruModel:
         capacity=st.integers(min_value=1, max_value=6),
         ops=st.lists(
             st.one_of(
-                st.integers(min_value=0, max_value=12),  # get of key index
+                st.integers(min_value=0, max_value=12),  # fetch of key index
                 st.lists(
                     st.integers(min_value=0, max_value=12),
                     min_size=1,
                     max_size=5,
-                ),  # get_many of key indexes
+                ),  # fetch_batch of key indexes
             ),
             max_size=30,
         ),
     )
     def test_matches_shadow_model(self, store, capacity, ops):
         keys = store.keys()[:13]
-        cache = PulseCache(store, capacity=capacity)
+        server = PulseServer(store, cache_capacity=capacity)
         model = OrderedDict()
         hits = misses = insertions = evictions = 0
         for op in ops:
             indexes = [op] if isinstance(op, int) else op
             if isinstance(op, int):
-                cache.get(*keys[op])
+                server.fetch(*keys[op])
             else:
-                cache.get_many([keys[i] for i in op])
+                server.fetch_batch([keys[i] for i in op])
             missed = []
             for index in dict.fromkeys(indexes):
                 key = keys[index]
@@ -167,7 +174,7 @@ class TestCacheLruModel:
                 else:
                     misses += 1
                     missed.append(key)
-            # get_many loads exactly the lookup-time misses, as one
+            # fetch_batch loads exactly the lookup-time misses, as one
             # batch, in first-miss order (a hit evicted by this batch's
             # own inserts is *not* re-loaded)
             for key in missed:
@@ -176,12 +183,12 @@ class TestCacheLruModel:
                 if len(model) > capacity:
                     model.popitem(last=False)
                     evictions += 1
-            assert cache.cached_keys() == list(model.keys())
-            stats = cache.stats()
-            assert stats.size == len(model) <= capacity
-            assert (stats.hits, stats.misses) == (hits, misses)
-            assert (stats.insertions, stats.evictions) == (insertions, evictions)
-            assert stats.size == stats.insertions - stats.evictions
+            assert server.cache.cached_keys() == list(model.keys())
+            stats = server.cache.stats()
+            assert stats["size"] == len(model) <= capacity
+            assert (stats["hits"], stats["misses"]) == (hits, misses)
+            assert (stats["insertions"], stats["evictions"]) == (insertions, evictions)
+            assert stats["size"] == stats["insertions"] - stats["evictions"]
 
 
 class TestPulseServer:
@@ -210,10 +217,9 @@ class TestPulseServer:
             server.fetch(*store.keys()[0])
             server.fetch_batch(store.keys()[:3])
             stats = server.stats()
-            assert stats.requests == 4
-            assert stats.batches == 1
-            assert stats.shard_fills >= 1
-            assert stats.cache.lookups == stats.cache.hits + stats.cache.misses
+            assert stats["requests"] == 4
+            assert stats["batches"] == 1
+            assert stats["shard_fills"] >= 1
 
     def test_serving_after_close_runs_inline(self, store, reference):
         server = PulseServer(store, cache_capacity=4)
@@ -235,7 +241,7 @@ class TestPulseServer:
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = [f.result() for f in [pool.submit(hammer) for _ in range(8)]]
-            assert server.stats().cache.insertions == 1
+            assert server.stats()["cache"]["insertions"] == 1
             first = results[0]
             for waveform in results[1:]:
                 assert waveform is first  # literally the cached object
@@ -288,13 +294,9 @@ class TestPulseServer:
                 for future in futures:
                     for key, waveform in future.result():
                         _assert_served(reference, key, waveform)
-            stats = server.stats()
-            assert stats.cache.size <= capacity
-            assert stats.cache.lookups == stats.cache.hits + stats.cache.misses
-            assert (
-                stats.cache.size
-                == stats.cache.insertions - stats.cache.evictions
-            )
+            cache = server.stats()["cache"]
+            assert cache["size"] <= capacity
+            assert cache["size"] == cache["insertions"] - cache["evictions"]
 
 
 class TestTraces:
@@ -314,6 +316,11 @@ class TestTraces:
             path.write_text(payload)
             with pytest.raises(StoreError):
                 load_trace(path)
+        # Qubits must be JSON integers: no float, bool or string coerced.
+        for qubits in ("[0.9]", "[true]", '["1"]'):
+            path.write_text(f'[["x", {qubits}]]')
+            with pytest.raises(StoreError, match="non-integer qubits"):
+                load_trace(path)
         with pytest.raises(StoreError, match="no trace file"):
             load_trace(tmp_path / "missing.json")
 
@@ -330,8 +337,9 @@ class TestTraces:
             synthetic_trace([], 5)
         with pytest.raises(StoreError):
             synthetic_trace(store.keys(), 0)
-        with pytest.raises(StoreError):
-            synthetic_trace(store.keys(), 5, skew=-1)
+        for skew in (-1, float("nan"), float("inf")):
+            with pytest.raises(StoreError, match="skew"):
+                synthetic_trace(store.keys(), 5, skew=skew)
 
 
 class TestPrewarmCounting:
@@ -343,31 +351,31 @@ class TestPrewarmCounting:
         # Regression: re-insertions used to be counted again, so a
         # second call re-reported the whole library instead of 0.
         assert cache.prewarm() == 0
-        assert cache.stats().insertions == len(store.keys())
+        assert cache.stats()["insertions"] == len(store.keys())
 
     def test_prewarm_after_demand_fills_counts_the_remainder(self, store):
-        cache = PulseCache(store, capacity=1000)
-        warmed = store.keys()[:3]
-        for key in warmed:
-            cache.get(*key)
-        assert cache.prewarm() == len(store.keys()) - len(warmed)
-        assert cache.stats().insertions == len(store.keys())
+        with PulseServer(store, cache_capacity=1000) as server:
+            warmed = store.keys()[:3]
+            for key in warmed:
+                server.fetch(*key)
+            assert server.cache.prewarm() == len(store.keys()) - len(warmed)
+            assert server.cache.stats()["insertions"] == len(store.keys())
 
 
 class TestServedBuffersReadOnly:
     """Cached sample buffers cannot be mutated through any alias."""
 
     def test_cache_hit_rejects_writes_and_reenabling(self, store, reference):
-        cache = PulseCache(store, capacity=8)
-        key = store.keys()[0]
-        waveform = cache.get(*key)
-        with pytest.raises(ValueError):
-            waveform.samples[0] = 123.0 + 0j
-        with pytest.raises(ValueError):
-            # The served array is a view over a read-only owner, so the
-            # write flag cannot be flipped back on.
-            waveform.samples.setflags(write=True)
-        _assert_served(reference, key, cache.get(*key))
+        with PulseServer(store, cache_capacity=8) as server:
+            key = store.keys()[0]
+            waveform = server.fetch(*key)
+            with pytest.raises(ValueError):
+                waveform.samples[0] = 123.0 + 0j
+            with pytest.raises(ValueError):
+                # The served array is a view over a read-only owner, so the
+                # write flag cannot be flipped back on.
+                waveform.samples.setflags(write=True)
+            _assert_served(reference, key, server.fetch(*key))
 
     def test_every_serving_path_is_locked(self, store):
         with PulseServer(store, cache_capacity=32) as server:
@@ -427,7 +435,7 @@ class TestFetchBatchFailure:
                 server.fetch_batch(batch)
             for key in batch:
                 assert server.cache.peek(*key) is None
-            assert server.stats().cache.insertions == 0
+            assert server.stats()["cache"]["insertions"] == 0
 
             served = {}
             follow_up = threading.Thread(
@@ -491,10 +499,10 @@ class TestOneDecodePerBatch:
         decodes = default_registry().counter("store.decode_batches")
         with PulseServer(recording, cache_capacity=64) as server:
             decodes_before = decodes.value
-            fills_before = server.stats().shard_fills
+            fills_before = server.stats()["shard_fills"]
             served = server.fetch_batch(batch)
             assert decodes.value - decodes_before == 1
-            assert server.stats().shard_fills - fills_before == 1
+            assert server.stats()["shard_fills"] - fills_before == 1
         assert recording.decode_threads == [threading.get_ident()]
         for key, waveform in zip(batch, served):
             _assert_served(expected, key, waveform)
@@ -553,4 +561,4 @@ class TestLockOrdering:
                 for key, waveform in served:
                     fetched.add(key)
                     _assert_served(reference, key, waveform)
-            assert server.stats().cache.insertions == len(fetched)
+            assert server.stats()["cache"]["insertions"] == len(fetched)

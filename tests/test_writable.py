@@ -774,7 +774,7 @@ class TestAdoptionAndRefresh:
         store = open_store(store_dir)
         keys = store.keys()
         cache = PulseCache(store, capacity=len(keys))
-        cache.get_many(keys)
+        cache.load_many(keys)
         assert len(cache) == len(keys)
 
         with StoreWriter(store_dir) as writer:
@@ -789,9 +789,9 @@ class TestAdoptionAndRefresh:
         assert removed not in cache
         assert keys[2] in cache
         stats = cache.stats()
-        assert stats.insertions - stats.evictions == stats.size
+        assert stats["insertions"] - stats["evictions"] == stats["size"]
         # The changed key now decodes the new generation's bytes.
-        got = cache.get(*changed)
+        got = cache.load_many([changed])[changed]
         assert np.array_equal(
             got.samples, fresh.decode_many([changed])[0].samples
         )
