@@ -33,8 +33,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = save_store(compiled, Path(tmp) / "guadalupe.cqs", n_shards=4)
 
-        # Cold misses decode in-process under the shard's single-flight
-        # lock; warm hits are a cache lookup.
+        # Cold misses decode in-process under the server's single-flight
+        # fill lock; warm hits are a cache lookup.
         with PulseServer(store, cache_capacity=len(store)) as serving:
             # CLI twin: `repro serve-net guadalupe.cqs --port 7401`.
             with serve_in_thread(serving, max_inflight=16) as handle:

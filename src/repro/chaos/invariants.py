@@ -15,12 +15,13 @@ error.  It asserts the properties that must hold anyway:
   ``insertions - evictions == size`` (no ``clear()`` in the workload).
 * **Single-flight insert-once.**  With capacity >= the key universe,
   every key is decoded and inserted at most once: each fill holds the
-  locks of every shard its keys live in (taken in ascending order), so
-  the per-shard single-flight dedupes concurrent fills, including
+  server's one fill lock, so concurrent fills dedupe, including
   concurrent network fetches of one cold key.
 * **Net accounting.**  After quiesce, every admitted fetch resolved
   exactly one way: ``fetches == fetches_ok + request_errors``
-  (overload sheds are refused *before* admission and counted apart).
+  (overload sheds are refused *before* admission and counted apart),
+  and no connection is left open once every client has closed its
+  socket.
 
 The counter laws read the plain dicts the ``stats()`` methods return.
 There is no registry-versus-stats check, because each ``stats()`` reads
@@ -173,11 +174,17 @@ class InvariantChecker:
 
     def check_net(self, stats: Mapping) -> None:
         """Post-quiesce accounting over a ``NetPulseServer.stats()`` dict:
-        every admitted fetch resolved exactly once."""
+        every admitted fetch resolved exactly once, and every client's
+        connection is closed on the server's side too."""
         if stats["fetches"] != stats["fetches_ok"] + stats["request_errors"]:
             self._fail(
                 f"net: fetches {stats['fetches']} != fetches_ok "
                 f"{stats['fetches_ok']} + request_errors {stats['request_errors']}"
+            )
+        elif stats["connections_open"]:
+            self._fail(
+                f"net: {stats['connections_open']} connection(s) still open "
+                "after every client closed"
             )
         else:
             self._pass()

@@ -229,11 +229,12 @@ def _net_phase(
     """The same storm over a real CQN1 socket; returns (requests, stats)."""
     bogus: _Key = ("chaos-no-such-gate", (0,))
     requests = [0] * clients
+    frame_timeout = 5.0
 
     with serve_in_thread(
         server,
         max_inflight=8,
-        frame_timeout=5.0,
+        frame_timeout=frame_timeout,
         trace_sample_rate=trace_sample_rate,
     ) as handle:
         host, port = handle.address
@@ -275,6 +276,12 @@ def _net_phase(
             thread.start()
         for thread in workers:
             thread.join()
+        # A client's close reaches the server's connection task a moment
+        # later; wait for every one of them (bounded by the frame
+        # timeout) so the stats describe the quiesced server.
+        deadline = time.monotonic() + frame_timeout
+        while handle.stats()["connections_open"] and time.monotonic() < deadline:
+            time.sleep(0.005)
         stats = handle.stats()
     checker.check_net(stats)
     return sum(requests), stats

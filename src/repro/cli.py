@@ -33,6 +33,7 @@ from repro.analysis import render_table
 from repro.compression.codecs import get_codec, list_codecs
 from repro.core import CompaqtCompiler, qubit_gain, qubits_supported
 from repro.devices import IBM_DEVICE_NAMES, ibm_device
+from repro.errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -821,6 +822,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.compression.pipeline import decompress_waveform
     from repro.store import PulseServer, load_trace, open_store, synthetic_trace
 
+    if args.batch_size < 1:
+        print(f"error: --batch-size must be >= 1, got {args.batch_size}")
+        return 2
     store = open_store(args.store)
     if args.requests:
         trace = load_trace(args.requests)
@@ -1125,8 +1129,21 @@ def _cmd_traces(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
+    """Entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ReproError` (a missing store, a bad
+    argument the library rejects) prints as ``error: <message>`` and
+    exits 1.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"error: {exc}")
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "devices":
         print(_cmd_devices())
     elif args.command == "codecs":

@@ -20,8 +20,8 @@ Design constraints, in order:
    exact counts.
 3. **Mergeable.**  ``snapshot()`` produces a plain-dict value that
    :func:`merge_snapshots` combines associatively and commutatively,
-   which is what lets a server fold a shared cache's registry and the
-   network tier's registry into one view.
+   which is what lets the network tier fold its registry, the serving
+   layer's and the process-wide default into one view.
 
 Histograms use fixed log-spaced buckets; display quantiles are exact
 within a bucket via linear interpolation over the cumulative counts.

@@ -6,7 +6,7 @@ cares about -- sustained pulses/second at the serving interface -- and
 how it moves with the two knobs the store exposes:
 
 * **cache size** (decoded hot set, as a fraction of the library), and
-* **shard count** (fetch granularity / single-flight granularity).
+* **shard count** (the store's file layout and prewarm granularity).
 
 For every device it compiles the library once, writes a store
 (generation 1) per shard count, and replays the same Zipf-skewed

@@ -16,7 +16,7 @@ under load:
   admission control (explicit overload responses, no unbounded
   queueing) and graceful drain-on-shutdown.  A fetch is one executor
   hop into the store layer, which decodes the fetch's misses in one
-  fused fill on that thread; its per-shard single-flight dedupes
+  fused fill on that thread; its single-flight fill lock dedupes
   concurrent cold fetches.
 - :mod:`repro.serve_net.client` -- :class:`PulseClient`, the one
   client: a blocking socket with optional seeded retry-with-backoff

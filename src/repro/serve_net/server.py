@@ -21,9 +21,9 @@ a serving tier rather than a socket wrapper:
 A fetch is one executor hop into the serving layer plus the reply
 encode.  The fetch's misses are decoded on that executor thread, in
 one fused fill.  Concurrent fetches of the same cold pulse are
-deduplicated there, by :class:`~repro.store.PulseServer`'s per-shard
-single-flight: N clients hammering one cold key cost one decode and
-one cache insertion.
+deduplicated there, by :class:`~repro.store.PulseServer`'s
+single-flight fill lock: N clients hammering one cold key cost one
+decode and one cache insertion.
 
 Per-request errors (an unknown pulse key, a mode the store cannot
 serve) get a ``STATUS_ERROR`` reply and the connection stays usable;
@@ -69,8 +69,6 @@ class NetPulseServer:
         max_inflight: Admission-control bound on concurrently served
             fetch requests (>= 1).  Requests past it are shed with an
             explicit overload reply, never queued.
-        max_request_bytes: Inbound frame bound; a length prefix past it
-            closes the connection.
         frame_timeout: Seconds a half-received frame may take to
             complete once its length prefix has arrived (default
             :data:`FRAME_COMPLETION_TIMEOUT`).  Tests and the chaos
@@ -78,11 +76,9 @@ class NetPulseServer:
             wall-clock waits.
         metrics: Registry for the ``net.*`` counters and latency
             histogram (private by default).
-        tracer: Trace collector for sampled requests; built from
-            ``trace_sample_rate`` when not given.
         trace_sample_rate: Fraction of untraced fetches that start a
-            server-side trace (client-traced fetches always do).
-            Ignored when ``tracer`` is passed.
+            server-side trace in :attr:`tracer` (client-traced fetches
+            always do).
 
     Lifecycle: ``await start()`` binds the socket, ``await aclose()``
     drains and shuts down.  Use :func:`serve_in_thread` to host one in
@@ -95,25 +91,18 @@ class NetPulseServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 32,
-        max_request_bytes: int = protocol.MAX_REQUEST_FRAME_BYTES,
         frame_timeout: float = FRAME_COMPLETION_TIMEOUT,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         trace_sample_rate: Optional[float] = None,
     ) -> None:
         if max_inflight < 1:
             raise StoreError(f"max_inflight must be >= 1, got {max_inflight}")
-        if max_request_bytes < 16:
-            raise StoreError(
-                f"max_request_bytes must be >= 16, got {max_request_bytes}"
-            )
         if frame_timeout <= 0:
             raise StoreError(f"frame_timeout must be > 0, got {frame_timeout}")
         self.serving = serving
         self.host = host
         self.port = port
         self.max_inflight = max_inflight
-        self.max_request_bytes = max_request_bytes
         self.frame_timeout = frame_timeout
         self._listener: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -123,15 +112,13 @@ class NetPulseServer:
         self._idle.set()
         self._draining = False
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if tracer is None:
-            tracer = Tracer(
-                sample_rate=(
-                    obs_trace.DEFAULT_TRACE_SAMPLE_RATE
-                    if trace_sample_rate is None
-                    else trace_sample_rate
-                )
+        self.tracer = Tracer(
+            sample_rate=(
+                obs_trace.DEFAULT_TRACE_SAMPLE_RATE
+                if trace_sample_rate is None
+                else trace_sample_rate
             )
-        self.tracer = tracer
+        )
         self._connections_accepted = self.metrics.counter("net.connections_accepted")
         self._requests = self.metrics.counter("net.requests")
         self._fetches = self.metrics.counter("net.fetches")
@@ -274,7 +261,9 @@ class NetPulseServer:
             except (ConnectionError, OSError):
                 return
             try:
-                length = protocol.parse_frame_length(header, self.max_request_bytes)
+                length = protocol.parse_frame_length(
+                    header, protocol.MAX_REQUEST_FRAME_BYTES
+                )
                 payload = await asyncio.wait_for(
                     reader.readexactly(length), timeout=self.frame_timeout
                 )
@@ -398,7 +387,7 @@ class NetPulseServer:
 
         # Decoded-sample mode: one hop into the serving layer, which
         # fills this fetch's misses in one fused decode on the executor
-        # thread, under per-shard single-flight.  copy_context():
+        # thread, under its single-flight fill lock.  copy_context():
         # executor threads do not inherit the admission span's contextvar.
         waveforms = await loop.run_in_executor(
             executor,

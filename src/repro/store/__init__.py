@@ -7,8 +7,7 @@ production controller:
   ``CQS2`` JSON manifest per committed generation plus ``CQL1`` shard
   files, hash-sharded by channel, with a byte-offset index so one pulse
   record is a single zero-copy span view out of one mapping per shard
-  file of the served generation.
-  A legacy ``CQS1`` ``manifest.json`` still opens, as generation 0.
+  file of the served generation.  ``CQS2`` is the only manifest format.
 - :mod:`repro.store.writable` -- :func:`save_store`, which publishes a
   compiled library as generation 1, and :class:`StoreWriter`, which
   commits and compacts the generations after it.
@@ -17,9 +16,9 @@ production controller:
   ``load_many`` fills misses through the fused parse→decode fast path
   (``ShardedStore.decode_many``).
 - :mod:`repro.store.server` -- :class:`PulseServer`, the thread-safe
-  ``fetch`` / ``fetch_batch`` front end with per-shard single-flight;
-  a batch's misses fill in one fused decode on the calling thread,
-  under the shard locks they need, taken in ascending order.
+  ``fetch`` / ``fetch_batch`` front end with single-flight fills; a
+  batch's misses fill in one fused decode on the calling thread, under
+  one fill lock that hits never take.
 - :mod:`repro.store.trace` -- request traces (JSON files and synthetic
   Zipf workloads) for ``repro serve`` and the serving benchmark.
 
@@ -39,10 +38,7 @@ Quickstart::
 
 from repro.store.atomic import atomic_write
 from repro.store.sharded import (
-    MANIFEST_NAME,
-    STORE_FORMAT_VERSION,
     STORE_FORMAT_VERSION_V2,
-    STORE_MAGIC,
     STORE_MAGIC_V2,
     ShardedStore,
     StoreRecord,
@@ -67,11 +63,8 @@ from repro.store.trace import (
 )
 
 __all__ = [
-    "STORE_MAGIC",
-    "STORE_FORMAT_VERSION",
     "STORE_MAGIC_V2",
     "STORE_FORMAT_VERSION_V2",
-    "MANIFEST_NAME",
     "StoreRecord",
     "ShardedStore",
     "shard_index",

@@ -20,8 +20,8 @@ the one read path.  The cache is thread-safe (a single reentrant lock
 guards the LRU map and counters) but deliberately does **not**
 deduplicate concurrent misses for the same pulse -- that single-flight
 policy belongs to the serving layer, which fills all of a batch's
-misses with one :meth:`PulseCache.load_many` call while holding the
-locks of the shards they live in.
+misses with one :meth:`PulseCache.load_many` call while holding its
+one fill lock.
 
 Counters (hits / misses / insertions / evictions) are monotonic and
 exact: every :meth:`lookup` resolves one key to exactly one hit or one
@@ -154,7 +154,7 @@ class PulseCache:
     def peek(self, gate: str, qubits: Sequence[int]) -> Optional[Waveform]:
         """Uncounted probe: touches neither counters nor LRU order.
 
-        The serving layer uses this to re-check after acquiring a shard
+        The serving layer uses this to re-check after acquiring its fill
         lock without double-counting the original miss.
         """
         with self._lock:
@@ -199,33 +199,26 @@ class PulseCache:
                     out[key] = self._insert(key, waveform, store)
         return out
 
-    def prewarm(self, shards: Optional[Sequence[int]] = None) -> int:
+    def prewarm(self) -> int:
         """Fill the cache from the live index, one shard file at a time.
 
-        Walks the named shard files (default: all of them) and decodes
-        each one's not-yet-cached live keys with one :meth:`load_many`
-        call -- one fused ``decode_many`` batch per shard, so the decode
-        working set is one shard's pulses, never the whole library.
-        Once capacity is reached, remaining pulses and shards are
-        skipped rather than decoded and churned straight back out.
-        Counters stay untouched (prewarming is not traffic).  Returns
-        the number of pulses *newly* inserted: re-warming keys that are
-        already resident counts zero, so a second ``prewarm`` over an
-        unchanged cache reports 0 rather than the whole library again.
+        Walks every shard file and decodes each one's not-yet-cached
+        live keys with one :meth:`load_many` call -- one fused
+        ``decode_many`` batch per shard, so the decode working set is
+        one shard's pulses, never the whole library.  Once capacity is
+        reached, remaining pulses and shards are skipped rather than
+        decoded and churned straight back out.  Counters stay untouched
+        (prewarming is not traffic).  Returns the number of pulses
+        *newly* inserted: re-warming keys that are already resident
+        counts zero, so a second ``prewarm`` over an unchanged cache
+        reports 0 rather than the whole library again.
         """
         store = self.store
-        count = store.shard_count
-        by_shard: Dict[int, List[_Key]] = {}
-        for shard in range(count) if shards is None else shards:
-            if not 0 <= shard < count:
-                raise StoreError(f"shard {shard} out of range [0, {count})")
-            by_shard[shard] = []
+        by_shard: List[List[_Key]] = [[] for _ in range(store.shard_count)]
         for key in store.keys():
-            members = by_shard.get(store.record_info(*key).shard)
-            if members is not None:
-                members.append(key)
+            by_shard[store.record_info(*key).shard].append(key)
         inserted = 0
-        for members in by_shard.values():
+        for members in by_shard:
             with self._lock:
                 room = self.capacity - len(self._lru)
                 todo = [key for key in members if key not in self._lru]

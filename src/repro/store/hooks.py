@@ -2,7 +2,7 @@
 
 The chaos harness (:mod:`repro.chaos`) needs to *force* thread
 interleavings that normal scheduling only produces rarely: a thread
-preempted between its cache probe and the shard locks, two fills racing
+preempted between its cache probe and the fill lock, two fills racing
 an eviction, a drain racing an in-flight decode.  Rather than sprinkle
 ``time.sleep`` into tests, the serving layer exposes named **yield
 points** around its lock acquisitions; a registered hook can sleep,

@@ -10,23 +10,21 @@ one place a cold miss is decoded).  It is safe to call from many
 threads at once and adds two policies the cache deliberately does not
 have:
 
-* **Per-shard single-flight.**  Every fill happens under the locks of
-  the shards it touches: when N threads miss on the same (or
-  co-sharded) pulses at the same moment, one of them decodes while the
-  rest wait and then take the freshly cached result (counted in
-  ``coalesced_fills``).  The same window is never decoded twice
-  concurrently, and a slow fill blocks only fills that need one of its
-  shards.  This is the only place concurrent fetches are
-  deduplicated: the network tier
+* **Single-flight fills.**  Every fill happens under one fill lock:
+  when N threads miss on the same pulses at the same moment, one of
+  them decodes while the rest wait and then take the freshly cached
+  result (counted in ``coalesced_fills``).  The same pulse is never
+  decoded twice concurrently.  Hits never take the fill lock, so warm
+  traffic never waits for a fill.  This is the only place concurrent
+  fetches are deduplicated: the network tier
   (:class:`~repro.serve_net.NetPulseServer`) hands every fetch
   straight to :meth:`PulseServer.fetch_batch` on an executor thread.
 
 * **One fused decode per cold batch.**  :meth:`fetch_batch` hands all
-  of a batch's misses to one fill on the calling thread, which takes
-  the shard locks they need in ascending order and decodes them with
-  one :meth:`PulseCache.load_many` -- one
+  of a batch's misses to one fill on the calling thread, which decodes
+  them with one :meth:`PulseCache.load_many` -- one
   :meth:`~repro.store.sharded.ShardedStore.decode_many` call -- so
-  the fused decoder sees the whole batch, not one shard's slice of it.
+  the fused decoder sees the whole batch.
 
 Served samples are bit-identical to the scalar reference
 (:func:`repro.compression.pipeline.decompress_channel` via
@@ -39,13 +37,12 @@ gate.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StoreError
-from repro.obs import MetricsRegistry, merge_snapshots
+from repro.obs import MetricsRegistry
 from repro.obs import trace as obs_trace
 from repro.pulses.waveform import Waveform
 from repro.store.cache import PulseCache
@@ -62,18 +59,13 @@ class PulseServer:
 
     Args:
         store: The compressed pulse store to serve from.
-        cache_capacity: Decoded hot-set size (ignored when ``cache`` is
-            given).
+        cache_capacity: Decoded hot-set size.
         max_workers: Has no effect: every fill runs on the calling
             thread.  Kept (and still checked to be >= 1) for callers
             that pass it.
-        cache: Optionally share a pre-built :class:`PulseCache` (e.g.
-            one cache behind several servers in a test harness).
-        metrics: Registry for the ``server.*`` counters and the fill
-            latency histogram.  Defaults to a private registry; a
-            privately built cache shares it (one merged view per
-            server), while a shared ``cache=`` keeps its own registry
-            and is merged in :meth:`metrics_snapshot`.
+        metrics: Registry for the ``server.*`` and ``cache.*`` counters
+            and the fill latency histogram.  Defaults to a private
+            registry, which the cache writes into as well.
 
     Use as a context manager, or call :meth:`close` to release the
     store's mmap pool; serving after ``close`` still works -- the pool
@@ -85,27 +77,13 @@ class PulseServer:
         store: ShardedStore,
         cache_capacity: int = 64,
         max_workers: int = 4,
-        cache: Optional[PulseCache] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_workers < 1:
             raise StoreError(f"max_workers must be >= 1, got {max_workers}")
-        if cache is not None and cache.store is not store:
-            raise StoreError("shared cache is bound to a different store")
-        self.store = store
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = (
-            cache
-            if cache is not None
-            else PulseCache(store, cache_capacity, metrics=self.metrics)
-        )
-        # Sized to the hash-routing width; a CQS2 generation's shard
-        # *table* can be wider (staged commit files), so fills index
-        # these modulo len -- same single-flight guarantee, staged
-        # shards simply share a lock with one base shard.
-        self._shard_locks = tuple(
-            threading.Lock() for _ in range(store.n_shards)
-        )
+        self.cache = PulseCache(store, cache_capacity, metrics=self.metrics)
+        self._fill_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._refresh_lock = threading.Lock()
         self._requests = self.metrics.counter("server.requests")
@@ -114,15 +92,19 @@ class PulseServer:
         self._coalesced_fills = self.metrics.counter("server.coalesced_fills")
         self._fill_seconds = self.metrics.histogram("server.fill_seconds")
 
+    @property
+    def store(self) -> ShardedStore:
+        """The store snapshot being served (the cache's)."""
+        return self.cache.store
+
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
         """Release store handles.
 
         Idempotent.  The cache's ``close`` cascades to the store's mmap
-        pool; because the pool remaps on demand, a shared cache or
-        store behind several servers keeps working after one of them
-        closes.
+        pool; because the pool remaps on demand, a store behind several
+        servers keeps working after one of them closes.
         """
         self.cache.close()
 
@@ -184,11 +166,11 @@ class PulseServer:
         snapshot's mmap pool is released.  Returns ``True`` iff a new
         generation was adopted.
 
-        Readers are never blocked: adoption swaps references under the
-        cache lock only, and fills in flight against the old snapshot
-        complete normally -- they return their (snapshot-consistent)
-        waveforms but skip the cache insert, so the cache never mixes
-        generations.
+        Readers are never blocked: adoption swaps the one snapshot
+        reference under the cache lock only, and fills in flight against
+        the old snapshot complete normally -- they return their
+        (snapshot-consistent) waveforms but skip the cache insert, so
+        the cache never mixes generations.
         """
         with self._refresh_lock:
             current = self.store
@@ -197,7 +179,6 @@ class PulseServer:
                 fresh.close()
                 return False
             invalidated = self.cache.adopt_store(fresh)
-            self.store = fresh
             self.metrics.counter("server.generation_adoptions").inc()
             self.metrics.counter("server.refresh_invalidations").inc(invalidated)
             current.close()
@@ -206,27 +187,22 @@ class PulseServer:
     # -- fills -----------------------------------------------------------------
 
     def _fill(self, keys: List[_Key]) -> Dict[_Key, Waveform]:
-        """Resolve misses in one fused decode under their shards' locks.
+        """Resolve misses in one fused decode under the fill lock.
 
-        Every key's shard is resolved first, so an unknown key fails
-        typed before any lock is held.  The locks the keys need are
-        then taken once each, in ascending index order (one global
-        order, so overlapping fills cannot deadlock), and released in
-        reverse.  Keys another thread decoded while we waited are taken
-        from the cache (coalesced); the remainder is read and decoded
-        in one batch, in this thread, still under the locks
-        (:meth:`PulseCache.load_many` -> ``ShardedStore.decode_many``).
+        Every key is resolved first, so an unknown key fails typed
+        before the lock is held.  Keys another thread decoded while we
+        waited are taken from the cache (coalesced); the remainder is
+        read and decoded in one batch, in this thread, still under the
+        lock (:meth:`PulseCache.load_many` -> ``ShardedStore.decode_many``).
         """
-        shard_of, n_locks = self.store.shard_of, len(self._shard_locks)
-        needed = sorted({shard_of(*key) % n_locks for key in keys})
+        for key in keys:
+            self.store.record_info(*key)
         out: Dict[_Key, Waveform] = {}
         coalesced = 0
         started = time.perf_counter()
-        with obs_trace.span("server.fill", shards=len(needed), keys=len(keys)):
+        with obs_trace.span("server.fill", keys=len(keys)):
             preempt("server.fill.pre_lock")
-            with contextlib.ExitStack() as held:
-                for index in needed:
-                    held.enter_context(self._shard_locks[index])
+            with self._fill_lock:
                 preempt("server.fill.locked")
                 to_load: List[_Key] = []
                 for key in keys:
@@ -247,16 +223,8 @@ class PulseServer:
     # -- bookkeeping -------------------------------------------------------------
 
     def metrics_snapshot(self) -> Dict:
-        """Merged registry snapshot: server + cache.
-
-        A privately built cache already writes into this server's
-        registry; a shared ``cache=`` (its own registry) is merged in
-        here.
-        """
-        snapshots = [self.metrics.snapshot()]
-        if self.cache.metrics is not self.metrics:
-            snapshots.append(self.cache.metrics.snapshot())
-        return merge_snapshots(*snapshots)
+        """Registry snapshot: the server's and its cache's series."""
+        return self.metrics.snapshot()
 
     def stats(self) -> Dict:
         """This server's counters, with its cache's under ``"cache"``."""

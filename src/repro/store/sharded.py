@@ -34,9 +34,9 @@ in and the ``(offset, length)`` span of its embedded ``CQW1`` waveform
 record (:class:`~repro.compression.bitstream.RecordSpan`).  Reading one
 pulse is therefore a single seek-and-read plus
 :func:`~repro.compression.bitstream.parse_waveform` -- no shard parse,
-no decode of neighbours.  A legacy ``CQS1`` ``manifest.json`` (the
-same index without versions or tombstones) still opens, as generation
-0; nothing writes one any more.
+no decode of neighbours.  ``CQS2`` is the only manifest format a store
+opens: a directory holding no ``manifest-<generation>.json`` has no
+store in it, whatever else it holds.
 
 Everything that can be validated cheaply at open time is (magic,
 version, shard files present with the recorded sizes, spans in range);
@@ -71,24 +71,17 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import CompressionError, StoreError
+from repro.errors import StoreError
 from repro.obs import DEFAULT_SIZE_BOUNDS, default_registry
-from repro.compression.bitstream import (
-    LibraryBitstream,
-    parse_library,
-    parse_waveform,
-)
+from repro.compression.bitstream import parse_waveform
 from repro.compression.codecs import get_codec
 from repro.compression.fastpath import decode_records
 from repro.compression.pipeline import CompressedWaveform
 from repro.pulses.waveform import Waveform
 
 __all__ = [
-    "STORE_MAGIC",
-    "STORE_FORMAT_VERSION",
     "STORE_MAGIC_V2",
     "STORE_FORMAT_VERSION_V2",
-    "MANIFEST_NAME",
     "generation_manifest_name",
     "list_generation_manifests",
     "StoreRecord",
@@ -98,15 +91,9 @@ __all__ = [
     "open_store",
 ]
 
-#: The legacy read-only format: one ``manifest.json``, opened as
-#: generation 0 (unversioned entries, no tombstones).
-STORE_MAGIC = "CQS1"
-STORE_FORMAT_VERSION = 1
-MANIFEST_NAME = "manifest.json"
-#: The format every store is written in: one manifest per committed
-#: generation, with per-record versions and tombstones (see
-#: :mod:`repro.store.writable`).  Shard files are plain ``CQL1``
-#: containers either way.
+#: The store format: one manifest per committed generation, with
+#: per-record versions and tombstones (see :mod:`repro.store.writable`).
+#: Shard files are plain ``CQL1`` containers.
 STORE_MAGIC_V2 = "CQS2"
 STORE_FORMAT_VERSION_V2 = 2
 
@@ -121,18 +108,13 @@ def generation_manifest_name(generation: int) -> str:
 
 
 def list_generation_manifests(root: pathlib.Path) -> List[Tuple[int, pathlib.Path]]:
-    """Every manifest under ``root``, newest generation first.
-
-    A legacy ``manifest.json``, if present, comes last as generation 0.
-    """
+    """Every generation manifest under ``root``, newest first."""
     found = []
     for path in root.glob("manifest-*.json"):
         match = _GEN_MANIFEST_RE.match(path.name)
         if match:
             found.append((int(match.group(1)), path))
     found.sort(key=lambda pair: pair[0], reverse=True)
-    if (root / MANIFEST_NAME).is_file():
-        found.append((0, root / MANIFEST_NAME))
     return found
 
 
@@ -164,7 +146,7 @@ class StoreRecord:
     """One manifest index row: where a pulse lives and its metadata.
 
     ``version`` is the record's logical version: 1 for every record of
-    a freshly saved (or legacy CQS1) store, bumped on each re-put by
+    a freshly saved store, bumped on each re-put by
     :class:`repro.store.writable.StoreWriter`.
     Caches invalidate on ``(key, version)`` change at generation
     adoption.
@@ -283,11 +265,10 @@ class ShardedStore:
 
     Opening a store reads and validates only the manifest; pulse bytes
     stay on disk until :meth:`read_record` (one zero-copy mmap view per
-    pulse) or :meth:`read_shard` / :meth:`load_library` (eager paths)
-    ask for them.  The object is safe to share across threads; call
-    :meth:`close` (or use the store as a context manager) to release
-    the mmap pool deterministically -- reads after ``close`` reopen on
-    demand.  See :class:`repro.store.PulseCache` and
+    pulse) or :meth:`load_library` (the eager path) asks for them.  The
+    object is safe to share across threads; call :meth:`close` (or use
+    the store as a context manager) to release the mmap pool
+    deterministically -- reads after ``close`` reopen on demand.  See :class:`repro.store.PulseCache` and
     :class:`repro.store.PulseServer` for the decoded-cache and
     concurrent front ends.
     """
@@ -302,7 +283,7 @@ class ShardedStore:
         shard_files: Tuple[str, ...],
         shard_sizes: Tuple[int, ...],
         index: Dict[_Key, StoreRecord],
-        generation: int = 0,
+        generation: int,
         tombstones: Optional[Dict[_Key, int]] = None,
     ) -> None:
         self.path = path
@@ -313,10 +294,10 @@ class ShardedStore:
         # shard *table* can be wider: staged commit files append beyond
         # the base layout, so use ``shard_count`` to iterate files.
         self.n_shards = n_shards
-        #: Committed generation this handle is pinned to (0 for a legacy
-        #: CQS1 store).  The mmap pool below maps exactly this
-        #: generation's files, so reads stay snapshot-consistent while
-        #: a writer publishes newer generations into the directory.
+        #: Committed generation this handle is pinned to.  The mmap pool
+        #: below maps exactly this generation's files, so reads stay
+        #: snapshot-consistent while a writer publishes newer
+        #: generations into the directory.
         self.generation = generation
         #: Deleted keys -> the version at which they were deleted.
         self.tombstones: Dict[_Key, int] = dict(tombstones or {})
@@ -347,10 +328,9 @@ class ShardedStore:
     def open(cls, path: Union[str, pathlib.Path]) -> "ShardedStore":
         """Open a store directory, validating its manifest and layout.
 
-        Recovery-on-open: generation manifests are tried newest first,
-        a legacy ``manifest.json`` (generation 0) last.  The first
-        candidate that fully validates -- parse, magic, shard files
-        present at the recorded sizes, spans in range -- wins, so a
+        Recovery-on-open: generation manifests are tried newest first.
+        The first candidate that fully validates -- parse, magic, shard
+        files present at the recorded sizes, spans in range -- wins, so a
         crash that left a torn temp manifest or an orphaned staged shard
         reopens as the newest *committed* generation, never a hybrid.
 
@@ -378,11 +358,8 @@ class ShardedStore:
     def _open_manifest(
         cls, root: pathlib.Path, manifest_path: pathlib.Path
     ) -> "ShardedStore":
-        """Parse and fully validate one manifest candidate.
+        """Parse and fully validate one ``CQS2`` manifest candidate.
 
-        A ``CQS2`` manifest is one committed generation.  A legacy
-        ``CQS1`` manifest reads as generation 0: every entry at version
-        1, no tombstones, and a shard table exactly ``n_shards`` wide.
         Unknown top-level fields are tolerated (forward compatibility);
         structural damage -- duplicate entry keys, a tombstone colliding
         with a live entry, bad versions or generations -- is a typed
@@ -395,18 +372,16 @@ class ShardedStore:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise StoreError(f"corrupt store manifest: {exc}") from None
         magic = manifest.get("magic") if isinstance(manifest, dict) else None
-        if magic not in (STORE_MAGIC, STORE_MAGIC_V2):
+        if magic != STORE_MAGIC_V2:
             raise StoreError(f"{manifest_path} is not a store manifest (bad magic)")
-        legacy = magic == STORE_MAGIC
-        readable = STORE_FORMAT_VERSION if legacy else STORE_FORMAT_VERSION_V2
         version = manifest.get("format_version")
-        if version != readable:
+        if version != STORE_FORMAT_VERSION_V2:
             raise StoreError(
                 f"unsupported {magic} format version {version!r} "
-                f"(this build reads version {readable})"
+                f"(this build reads version {STORE_FORMAT_VERSION_V2})"
             )
         try:
-            generation = 0 if legacy else int(manifest["generation"])
+            generation = int(manifest["generation"])
             n_shards = int(manifest["n_shards"])
             shard_table = list(manifest["shards"])
             device_name = manifest["device_name"]
@@ -414,20 +389,20 @@ class ShardedStore:
             window_size = int(manifest["window_size"])
             entry_rows = list(manifest["entries"])
             declared_entries = int(manifest.get("n_entries", len(entry_rows)))
-            tombstone_rows = [] if legacy else list(manifest.get("tombstones", []))
+            tombstone_rows = list(manifest.get("tombstones", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreError(f"malformed {magic} manifest: {exc!r}") from None
-        if not legacy and generation < 1:
+        if generation < 1:
             raise StoreError(f"CQS2 generation must be >= 1, got {generation}")
         if n_shards < 1:
             raise StoreError(f"n_shards must be >= 1, got {n_shards}")
-        if not shard_table or (legacy and len(shard_table) != n_shards):
+        if not shard_table:
             raise StoreError(
                 f"manifest declares {n_shards} shards but lists "
                 f"{len(shard_table)} shard files"
             )
         shard_files, shard_sizes = cls._validate_shard_table(root, shard_table)
-        index = cls._validate_entries(entry_rows, shard_sizes, versioned=not legacy)
+        index = cls._validate_entries(entry_rows, shard_sizes)
         if len(index) != declared_entries:
             raise StoreError(
                 f"manifest declares {declared_entries} entries, "
@@ -499,7 +474,7 @@ class ShardedStore:
 
     @staticmethod
     def _validate_entries(
-        entry_rows: List, shard_sizes: List[int], versioned: bool
+        entry_rows: List, shard_sizes: List[int]
     ) -> Dict[_Key, StoreRecord]:
         """Range-check and index the manifest's entry rows."""
         index: Dict[_Key, StoreRecord] = {}
@@ -514,7 +489,7 @@ class ShardedStore:
                     length=int(row["length"]),
                     mse=float(row["mse"]),
                     threshold=float(row["threshold"]),
-                    version=int(row["version"]) if versioned else 1,
+                    version=int(row["version"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise StoreError(f"malformed manifest entry: {exc!r}") from None
@@ -736,15 +711,7 @@ class ShardedStore:
             decoded[key] = waveform
         return [decoded[key] for key in keys]
 
-    # -- eager paths ---------------------------------------------------------
-
-    def read_shard(self, shard: int) -> LibraryBitstream:
-        """Parse one whole shard file as its ``CQL1`` container."""
-        self.shard_path(shard)  # range check
-        try:
-            return parse_library(self._pool.view(shard))
-        except CompressionError as exc:
-            raise StoreError(f"corrupt shard {shard}: {exc}") from None
+    # -- eager path ----------------------------------------------------------
 
     def load_library(self):
         """Eagerly load and decode every live record.
@@ -760,18 +727,6 @@ class ShardedStore:
         from repro.compression.pipeline import CompressionResult
         from repro.core.compiler import CompressedPulseLibrary
 
-        if self.generation == 0:
-            # A legacy CQS1 store's shards hold exactly its records; a
-            # container that disagrees with the index is damage on disk.
-            held = sum(
-                len(self.read_shard(shard).entries)
-                for shard in range(self.shard_count)
-            )
-            if held != len(self._index):
-                raise StoreError(
-                    f"shards hold {held} entries, manifest indexes "
-                    f"{len(self._index)}"
-                )
         library = CompressedPulseLibrary(
             device_name=self.device_name,
             window_size=self.window_size,

@@ -18,11 +18,11 @@ each later generation without ever breaking a concurrent reader:
   valid byte for byte.
 
 * **Versioned manifests.**  Each commit publishes
-  ``manifest-<generation>.json`` (magic ``CQS2``, compact JSON): a
-  generation counter, the full live index with a per-record
-  **version** (bumped on every re-put), and **tombstones** for
-  deletes.  Readers open the newest *valid* generation; caches
-  invalidate by (key, version) on adoption
+  ``manifest-<generation>.json`` (magic ``CQS2``, the one manifest
+  format, compact JSON): a generation counter, the full live index
+  with a per-record **version** (bumped on every re-put), and
+  **tombstones** for deletes.  Readers open the newest *valid*
+  generation; caches invalidate by (key, version) on adoption
   (:meth:`repro.store.cache.PulseCache.adopt_store`).
 
 * **No reopen.**  The handle a commit returns (and adopts as the
@@ -141,9 +141,10 @@ def save_store(
         path: Store directory to create (conventionally ``*.cqs``).
             Created if missing; a store already there is replaced --
             its manifests, shard files and publish debris all go.
-        n_shards: Shard file count.  More shards mean smaller fetch
-            units and more single-flight parallelism; empty shards are
-            legal (they serialize as zero-entry containers).
+        n_shards: Shard file count: the hash-routing width, and so the
+            number of fetch units ``prewarm`` and compaction walk;
+            empty shards are legal (they serialize as zero-entry
+            containers).
 
     Returns:
         A :class:`ShardedStore` on generation 1, built from the shard
@@ -179,9 +180,8 @@ class StoreWriter:
     """Single-writer update handle over a store directory.
 
     Args:
-        path: An existing ``*.cqs`` store directory (any generation, a
-            legacy CQS1 store included -- the writer rebases on the
-            newest valid one).
+        path: An existing ``*.cqs`` store directory (the writer
+            rebases on its newest valid generation).
 
     Use as a context manager or call :meth:`close`; the writer keeps a
     read handle on its base generation for index/version lookups.
@@ -382,8 +382,7 @@ class StoreWriter:
         and the next commit's sweep retires).  The parent generation's
         manifest and files are retained on purpose: they are the
         fallback if the just-published manifest is later found torn.
-        Every older manifest goes, a legacy ``manifest.json``
-        (generation 0) included.
+        Every older manifest goes.
         """
         for gen, manifest_path in list_generation_manifests(self.path):
             if gen < parent_generation:
@@ -588,7 +587,7 @@ def _publish_generation(
     shards = base_shards + [(name, len(blob)) for name, blob in blobs.items()]
     sizes = tuple(size for _name, size in shards)
     index = dict(kept)
-    index.update(ShardedStore._validate_entries(index_rows, sizes, versioned=True))
+    index.update(ShardedStore._validate_entries(index_rows, sizes))
     live = Counter(record.shard for record in index.values())
     tombstones = dict(sorted(tombstones.items()))
     for name, blob in blobs.items():

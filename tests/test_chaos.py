@@ -7,6 +7,8 @@ soak (`run_chaos` / `repro chaos --quick`) staying green on the
 current stack.
 """
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from repro.errors import (
     StoreError,
 )
 from repro.perf.serving_bench import run_serving_soak, soak_gates_ok
+from repro.serve_net import NetPulseServer
 from repro.store import PulseServer, save_store
 from repro.store.hooks import preempt, preempt_hook, set_preempt_hook
 
@@ -231,6 +234,15 @@ class TestInvariantChecker:
         with pytest.raises(ChaosError, match="fetches"):
             checker.raise_if_violated()
 
+    def test_connection_left_open_is_flagged(self, reference):
+        checker = InvariantChecker(reference)
+        checker.check_net(
+            {"fetches": 4, "fetches_ok": 3, "request_errors": 1,
+             "connections_open": 1}
+        )
+        with pytest.raises(ChaosError, match="still open"):
+            checker.raise_if_violated()
+
 
 class TestRunChaos:
     def test_quick_soak_is_green_and_injects_every_kind(self):
@@ -279,6 +291,26 @@ class TestRunChaos:
         assert report.requests_rw == 0
         assert report.rw_stats == {}
         assert not set(WRITE_FAULT_KINDS) & set(report.faults_injected)
+
+    def test_net_stats_wait_for_the_server_to_see_every_close(
+        self, monkeypatch
+    ):
+        # The server's connection tasks notice each client's close late.
+        connection_loop = NetPulseServer._connection_loop
+
+        async def slow_to_notice_eof(self, reader, writer):
+            await connection_loop(self, reader, writer)
+            await asyncio.sleep(0.3)
+
+        monkeypatch.setattr(
+            NetPulseServer, "_connection_loop", slow_to_notice_eof
+        )
+        report = run_chaos(
+            device_spec="bogota", seed=0, threads=2, ops_per_thread=20,
+            net_clients=2, write_commits=0,
+        )
+        assert report.ok, report.violations
+        assert report.net_stats["connections_open"] == 0
 
     def test_validates_arguments(self):
         with pytest.raises(ChaosError):

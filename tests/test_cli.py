@@ -231,3 +231,41 @@ class TestServeCommand:
         stdout = capsys.readouterr().out
         assert "served 40 requests" in stdout
         assert "trace.json" in stdout
+
+    @pytest.fixture(scope="class")
+    def packed(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("serve") / "lima.cqs"
+        assert main(["pack", "lima", "--shards", "2", "--output", str(out)]) == 0
+        return str(out)
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            (["--batch-size", "0"], 2, "--batch-size must be >= 1, got 0"),
+            (
+                ["--batch-size", "-3", "--no-verify"],
+                2,
+                "--batch-size must be >= 1, got -3",
+            ),
+            (["--cache-size", "0"], 1, "cache capacity must be >= 1, got 0"),
+        ],
+        ids=["zero-batch", "negative-batch", "zero-cache"],
+    )
+    def test_serve_rejects_bad_sizes(self, packed, capsys, args, code, message):
+        capsys.readouterr()
+        assert main(["serve", packed, *args]) == code
+        assert capsys.readouterr().out == f"error: {message}\n"
+
+    def test_serve_missing_store_is_a_typed_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cqs"
+        assert main(["serve", str(missing)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: no store manifest in {missing}\n"
+        )
+
+    def test_serve_net_missing_store_is_a_typed_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cqs"
+        assert main(["serve-net", str(missing), "--port", "0"]) == 1
+        assert capsys.readouterr().out == (
+            f"error: no store manifest in {missing}\n"
+        )

@@ -173,6 +173,20 @@ class TestControlRequests:
         served = {trace["trace_id"] for trace in client.traces(limit=8)}
         assert client_trace["trace_id"] in served
 
+    def test_zero_sample_rate_traces_only_client_traced_fetches(
+        self, serving, store
+    ):
+        with serve_in_thread(serving, trace_sample_rate=0.0) as handle:
+            with PulseClient(*handle.address) as client:
+                client.fetch(*store.keys()[0])
+                assert client.traces(limit=8) == []
+                tracer = Tracer(sample_rate=1.0)
+                client.tracer = tracer
+                client.fetch(*store.keys()[1])
+                (client_trace,) = tracer.recent()
+                served = [trace["trace_id"] for trace in client.traces(limit=8)]
+        assert served == [client_trace["trace_id"]]
+
 
 class TestCoalescing:
     def test_concurrent_cold_keys_insert_once(self, store):
@@ -291,6 +305,21 @@ class TestProtocolDamage:
                 assert reply.status == protocol.STATUS_ERROR
                 self._assert_closed(sock)
         assert handle.stats()["protocol_errors"] >= 1
+
+    def test_request_bound_is_the_protocol_maximum(self, handle):
+        # A prefix at the bound waits for its payload; one past it does not.
+        with self._raw(handle) as sock:
+            sock.sendall(struct.pack("<I", protocol.MAX_REQUEST_FRAME_BYTES))
+            sock.settimeout(0.3)
+            with pytest.raises(socket.timeout):
+                sock.recv(4096)
+            assert handle.stats()["protocol_errors"] == 0
+        with self._raw(handle) as sock:
+            sock.sendall(struct.pack("<I", protocol.MAX_REQUEST_FRAME_BYTES + 1))
+            reply = self._read_reply(sock)
+            if reply is not None:  # best-effort error reply before close
+                assert reply.status == protocol.STATUS_ERROR
+                self._assert_closed(sock)
 
     def test_zero_length_frame_closes(self, handle):
         with self._raw(handle) as sock:
@@ -540,7 +569,7 @@ class _BlockingStore:
 
 
 class _KeyGateStore:
-    """Test double: shard routing for one gate name parks until released."""
+    """Test double: key resolution for one gate name parks until released."""
 
     def __init__(self, store, gate_name, parked, release):
         self._store = store
@@ -551,11 +580,11 @@ class _KeyGateStore:
     def __getattr__(self, name):
         return getattr(self._store, name)
 
-    def shard_of(self, gate, qubits):
+    def record_info(self, gate, qubits):
         if gate == self._gate_name:
             self._parked.set()
             assert self._release.wait(timeout=10), "gate never released"
-        return self._store.shard_of(gate, qubits)
+        return self._store.record_info(gate, qubits)
 
 
 class TestCoalescingFailureScope:
@@ -563,8 +592,8 @@ class TestCoalescingFailureScope:
         """A request failing on one bad key must not fail a concurrent
         request for a *valid* key the two share.
 
-        The mixed request parks in shard routing on the bad key; a
-        valid-only request on a second connection completes meanwhile,
+        The mixed request parks resolving the bad key; a valid-only
+        request on a second connection completes meanwhile,
         and the mixed request then fails typed.
         """
         valid = store.keys()[0]

@@ -7,6 +7,7 @@ its capacity, eviction strictly follows least-recent use, and the
 hit/miss/insertion/eviction counters stay mutually consistent.
 """
 
+import contextlib
 import random
 import sys
 import threading
@@ -200,12 +201,9 @@ class TestPulseServer:
             for key, waveform in zip(store.keys(), batch):
                 _assert_served(reference, key, waveform)
 
-    def test_validates_arguments(self, store, compiled, tmp_path):
+    def test_validates_arguments(self, store):
         with pytest.raises(StoreError):
             PulseServer(store, max_workers=0)
-        other = save_store(compiled, tmp_path / "other.cqs", n_shards=2)
-        with pytest.raises(StoreError, match="different store"):
-            PulseServer(store, cache=PulseCache(other, capacity=2))
 
     def test_unknown_request_raises(self, store):
         with PulseServer(store) as server:
@@ -421,7 +419,7 @@ class TestFetchBatchFailure:
         self, compiled, reference, tmp_path
     ):
         """A batch whose decode fails raises typed, caches nothing, and
-        leaves no shard lock held."""
+        leaves the fill lock free."""
         base = save_store(compiled, tmp_path / "pf.cqs", n_shards=3)
         by_shard = {}
         for key in base.keys():
@@ -446,7 +444,7 @@ class TestFetchBatchFailure:
             )
             follow_up.start()
             follow_up.join(timeout=5)
-            assert not follow_up.is_alive(), "a shard lock was left held"
+            assert not follow_up.is_alive(), "the fill lock was left held"
             for key in others:
                 _assert_served(reference, key, served[key])
 
@@ -508,10 +506,120 @@ class TestOneDecodePerBatch:
             _assert_served(expected, key, waveform)
 
 
+def _keys_by_shard(store):
+    by_shard = {}
+    for key in store.keys():
+        by_shard.setdefault(store.shard_of(*key), []).append(key)
+    assert len(by_shard) == store.n_shards
+    return by_shard
+
+
+def _fetch_into(server, out, keys):
+    return lambda: out.update(zip(keys, server.fetch_batch(keys)))
+
+
+@contextlib.contextmanager
+def _fill_held(server, keys, served):
+    """Run ``server.fetch_batch(keys)`` on a thread that parks inside
+    the fill lock until the block exits; its waveforms land in
+    ``served``.  Yields the thread."""
+    parked, release = threading.Event(), threading.Event()
+    holder = threading.Thread(
+        target=_fetch_into(server, served, keys), name="holder", daemon=True
+    )
+
+    def hold_the_holder(point):
+        if point == "server.fill.locked" and threading.current_thread() is holder:
+            parked.set()
+            assert release.wait(timeout=10), "hold never released"
+
+    with preempt_hook(hold_the_holder):
+        holder.start()
+        try:
+            assert parked.wait(timeout=10)
+            yield holder
+        finally:
+            release.set()
+            holder.join(timeout=10)
+    assert not holder.is_alive()
+
+
+class TestFillLockScope:
+    def test_hits_never_wait_and_held_misses_coalesce(
+        self, compiled, reference, tmp_path
+    ):
+        """While a cold fill holds the fill lock, cached keys on every
+        shard are served at once; a miss on the held keys waits for
+        that fill, then is served from the cache it filled."""
+        store = save_store(compiled, tmp_path / "fl.cqs", n_shards=3)
+        by_shard = _keys_by_shard(store)
+        warm = [keys[0] for keys in by_shard.values()]
+        held = [keys[1] for keys in by_shard.values()]
+        served, waited, hits = {}, {}, {}
+        with PulseServer(store, cache_capacity=64) as server:
+            server.fetch_batch(warm)
+            before = server.stats()
+            with _fill_held(server, held, served) as holder:
+                hitter = threading.Thread(
+                    target=_fetch_into(server, hits, warm), daemon=True
+                )
+                hitter.start()
+                hitter.join(timeout=5)
+                assert not hitter.is_alive(), "a hit waited for a fill"
+                assert holder.is_alive()
+                waiter = threading.Thread(
+                    target=_fetch_into(server, waited, held), daemon=True
+                )
+                waiter.start()
+                waiter.join(timeout=0.2)
+                assert waiter.is_alive(), "a held miss did not wait"
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            stats = server.stats()
+        for key in warm:
+            _assert_served(reference, key, hits[key])
+        for key in held:
+            _assert_served(reference, key, served[key])
+            assert waited[key] is served[key]
+        assert stats["coalesced_fills"] - before["coalesced_fills"] == len(held)
+        assert stats["cache"]["insertions"] == len(warm) + len(held)
+
+    def test_misses_on_other_shards_wait_and_fill_alone(
+        self, compiled, reference, tmp_path
+    ):
+        """One fill lock for every shard: a miss on other shards' keys
+        waits for the held fill, then is decoded by a fill of its own,
+        never coalesced with the held one."""
+        store = save_store(compiled, tmp_path / "fa.cqs", n_shards=3)
+        by_shard = _keys_by_shard(store)
+        held = by_shard[0][:2]
+        others = [keys[0] for shard, keys in by_shard.items() if shard != 0]
+        served, waited = {}, {}
+        with PulseServer(store, cache_capacity=64) as server:
+            with _fill_held(server, held, served):
+                waiter = threading.Thread(
+                    target=_fetch_into(server, waited, others), daemon=True
+                )
+                waiter.start()
+                waiter.join(timeout=0.2)
+                assert waiter.is_alive(), "a miss on another shard did not wait"
+            waiter.join(timeout=10)
+            assert not waiter.is_alive()
+            stats = server.stats()
+        for key in held:
+            _assert_served(reference, key, served[key])
+        for key in others:
+            _assert_served(reference, key, waited[key])
+        assert stats["shard_fills"] == 2
+        assert stats["coalesced_fills"] == 0
+        assert stats["cache"]["insertions"] == len(held) + len(others)
+
+
 class TestLockOrdering:
     def test_forced_interleavings_never_deadlock(self, compiled, reference, tmp_path):
-        """Overlapping multi-shard fills, yielding at both fill points,
-        all finish, serve exact samples, and insert each key once."""
+        """Overlapping fills through the one fill lock, yielding at both
+        fill points, all finish, serve exact samples, and insert each
+        key once."""
         store = save_store(compiled, tmp_path / "lo.cqs", n_shards=3)
         keys = store.keys()
         fetched = set()

@@ -1,8 +1,7 @@
 """Tests for the sharded store layout, ``save_store``, and the reader.
 
-``save_store`` publishes CQS2 generation 1; :class:`TestLegacyCQS1`
-keeps the read-only CQS1 ``manifest.json`` path covered on a legacy
-directory built from a saved store.
+``save_store`` publishes CQS2 generation 1, the only manifest format a
+store opens.
 """
 
 import json
@@ -19,11 +18,9 @@ from repro.compression.bitstream import (
     serialize_library_indexed,
     serialize_waveform,
 )
-from repro.compression.pipeline import decompress_waveform
 from repro.core import CompaqtCompiler
 from repro.devices import ibm_device
 from repro.store import (
-    MANIFEST_NAME,
     PulseCache,
     ShardedStore,
     StoreWriter,
@@ -330,6 +327,47 @@ class TestValidation:
         with pytest.raises(StoreError, match="overruns shard"):
             open_store(root)
 
+    @staticmethod
+    def _write_cqs1_manifest(root):
+        """Write generation 1 again in the pre-CQS2 layout: one
+        unversioned ``manifest.json``."""
+        manifest = json.loads((root / GEN1_MANIFEST).read_text())
+        manifest.update(magic="CQS1", format_version=1)
+        del manifest["generation"], manifest["parent_generation"]
+        del manifest["tombstones"]
+        for row in manifest["entries"]:
+            del row["version"]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        return root / "manifest.json"
+
+    def test_cqs1_manifest_alone_is_no_store(self, store, tmp_path):
+        root = tmp_path / "bogota.cqs"
+        self._write_cqs1_manifest(root)
+        (root / GEN1_MANIFEST).unlink()
+        for opener in (open_store, StoreWriter):
+            with pytest.raises(StoreError, match="no store manifest in"):
+                opener(root)
+        report = verify_store(root)
+        assert not report.ok
+        assert report.fatal.startswith("no store manifest in")
+        assert report.generations_found == []
+
+    def test_stray_cqs1_manifest_is_ignored(self, store, compiled, tmp_path):
+        root = tmp_path / "bogota.cqs"
+        stray = self._write_cqs1_manifest(root)
+        reopened = open_store(root)
+        assert reopened.generation == 1
+        assert set(reopened.keys()) == set(compiled.keys())
+        with StoreWriter(root) as writer:
+            key = writer.store.keys()[0]
+            writer.put(key[0], key[1], _shifted(writer.store, key))
+            assert writer.commit().generation == 2
+        report = verify_store(root)
+        assert report.ok
+        assert report.generations_found == [1, 2]
+        # The commit's sweep removes only files a store names.
+        assert stray.exists()
+
     def test_unknown_pulse_lookup(self, store):
         with pytest.raises(StoreError, match="no pulse"):
             store.read_record("nope", (0,))
@@ -356,153 +394,6 @@ def _shifted(store, key, roll=1):
     return CompaqtCompiler(window_size=16).compile_waveform(
         waveform.with_samples(np.roll(waveform.samples, roll) * 0.9)
     )
-
-
-def _legacy_cqs1(compiled, root, n_shards=2):
-    """Build a legacy CQS1 directory: ``manifest.json`` + ``shard-NNNN.cql``.
-
-    Starts from a saved store and rewrites its generation-1 manifest as
-    magic ``CQS1``, format version 1, unversioned entries and a shard
-    table as wide as ``n_shards``; the shard files take legacy names.
-    """
-    save_store(compiled, root, n_shards=n_shards).close()
-    generation_1 = root / GEN1_MANIFEST
-    manifest = json.loads(generation_1.read_text())
-    for shard, row in enumerate(manifest["shards"]):
-        legacy_name = f"shard-{shard:04d}.cql"
-        (root / row["file"]).rename(root / legacy_name)
-        row["file"] = legacy_name
-    legacy = {
-        "magic": "CQS1",
-        "format_version": 1,
-        "device_name": manifest["device_name"],
-        "variant": manifest["variant"],
-        "window_size": manifest["window_size"],
-        "n_shards": n_shards,
-        "n_entries": manifest["n_entries"],
-        "shards": manifest["shards"],
-        "entries": [
-            {field: value for field, value in row.items() if field != "version"}
-            for row in manifest["entries"]
-        ],
-    }
-    (root / MANIFEST_NAME).write_text(json.dumps(legacy, indent=1) + "\n")
-    generation_1.unlink()
-    return root
-
-
-@pytest.fixture()
-def legacy_dir(compiled, tmp_path):
-    return _legacy_cqs1(compiled, tmp_path / "legacy.cqs")
-
-
-def _rewrite(path, **changes):
-    manifest = json.loads(path.read_text())
-    manifest.update(changes)
-    path.write_text(json.dumps(manifest))
-    return manifest
-
-
-class TestLegacyCQS1:
-    """The read-only CQS1 path: nothing writes it, every reader opens it."""
-
-    def test_opens_as_generation_zero(self, legacy_dir, compiled):
-        store = open_store(legacy_dir)
-        assert store.generation == 0
-        assert store.tombstones == {}
-        assert store.shard_count == store.n_shards == 2
-        assert set(store.keys()) == set(compiled.keys())
-        assert {store.record_info(*key).version for key in store.keys()} == {1}
-
-    def test_records_are_bit_identical(self, legacy_dir, compiled):
-        store = open_store(legacy_dir)
-        keys = store.keys()
-        for key, waveform in zip(keys, store.decode_many(keys)):
-            compressed = compiled.result(*key).compressed
-            assert store.read_record_bytes(*key) == serialize_waveform(compressed)
-            np.testing.assert_array_equal(
-                waveform.samples, decompress_waveform(compressed).samples
-            )
-
-    def test_prewarm_fills_the_cache(self, legacy_dir, compiled):
-        store = open_store(legacy_dir)
-        cache = PulseCache(store, capacity=len(store))
-        assert cache.prewarm() == len(store) == len(cache)
-        for key in store.keys():
-            np.testing.assert_array_equal(
-                cache.peek(*key).samples,
-                decompress_waveform(compiled.result(*key).compressed).samples,
-            )
-
-    def test_load_library_matches_compiled(self, legacy_dir, compiled):
-        loaded = open_store(legacy_dir).load_library()
-        assert len(loaded) == len(compiled)
-        for key in compiled.keys():
-            twin, original = loaded.result(*key), compiled.result(*key)
-            assert twin.compressed == original.compressed
-            np.testing.assert_array_equal(
-                twin.reconstructed.samples, original.reconstructed.samples
-            )
-
-    def test_load_library_checks_shard_entry_counts(self, legacy_dir):
-        path = legacy_dir / MANIFEST_NAME
-        manifest = json.loads(path.read_text())
-        # A self-consistent index that forgets one record its shard holds.
-        _rewrite(
-            path,
-            entries=manifest["entries"][1:],
-            n_entries=manifest["n_entries"] - 1,
-        )
-        store = open_store(legacy_dir)
-        with pytest.raises(StoreError, match="shards hold"):
-            store.load_library()
-
-    def test_shard_table_must_be_n_shards_wide(self, legacy_dir):
-        _rewrite(legacy_dir / MANIFEST_NAME, n_shards=3)
-        with pytest.raises(StoreError, match="declares 3 shards but lists 2"):
-            open_store(legacy_dir)
-
-    def test_unsupported_cqs1_version(self, legacy_dir):
-        _rewrite(legacy_dir / MANIFEST_NAME, format_version=2)
-        with pytest.raises(StoreError, match="unsupported CQS1 format version"):
-            open_store(legacy_dir)
-
-    def test_commit_yields_generation_one(self, legacy_dir):
-        with StoreWriter(legacy_dir) as writer:
-            key = writer.store.keys()[0]
-            result = _shifted(writer.store, key)
-            writer.put(key[0], key[1], result)
-            fresh = writer.commit()
-        assert fresh.generation == 1
-        assert fresh.record_info(*key).version == 2
-        np.testing.assert_array_equal(
-            fresh.decode_many([key])[0].samples, result.reconstructed.samples
-        )
-        report = verify_store(legacy_dir)
-        assert report.ok
-        assert report.manifest_errors == []
-        assert report.generations_found == [0, 1]
-
-    def test_legacy_manifest_retires_once_older_than_the_parent(
-        self, legacy_dir
-    ):
-        # Save, two commits, compact, two commits: compaction sweeps the
-        # legacy shards, so a kept manifest.json could never load again.
-        with StoreWriter(legacy_dir) as writer:
-            key = writer.store.keys()[0]
-            for step in range(1, 6):
-                if step == 3:
-                    writer.compact()
-                    continue
-                writer.put(key[0], key[1], _shifted(writer.store, key, roll=step))
-                writer.commit()
-            assert writer.generation == 5
-        assert not (legacy_dir / MANIFEST_NAME).exists()
-        report = verify_store(legacy_dir)
-        assert report.ok
-        assert report.manifest_errors == []
-        assert report.chain_gaps == []
-        assert report.generations_found == [4, 5]
 
 
 class _BatchRecorder:
@@ -543,25 +434,3 @@ class TestPrewarm:
                 cache.peek(*key).samples,
                 committed.decode_many([key])[0].samples,
             )
-
-    @pytest.mark.parametrize("layout", ["saved", "committed", "legacy"])
-    def test_out_of_range_shard_raises_on_every_format(
-        self, compiled, tmp_path, layout
-    ):
-        root = tmp_path / "prewarm.cqs"
-        if layout == "legacy":
-            _legacy_cqs1(compiled, root)
-        else:
-            save_store(compiled, root, n_shards=2).close()
-        if layout == "committed":
-            with StoreWriter(root) as writer:
-                key = writer.store.keys()[0]
-                writer.put(key[0], key[1], _shifted(writer.store, key))
-                writer.commit()
-        store = open_store(root)
-        cache = PulseCache(store, capacity=len(store))
-        for shard in (store.shard_count, -1):
-            with pytest.raises(StoreError, match="out of range"):
-                cache.prewarm(shards=[shard])
-        assert len(cache) == 0
-        assert cache.prewarm(shards=[0]) > 0

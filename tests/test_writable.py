@@ -23,7 +23,6 @@ from repro.pulses import Waveform
 from repro.store import (
     COMMIT_HOOK_POINTS,
     COMPACT_HOOK_POINTS,
-    MANIFEST_NAME,
     PulseCache,
     PulseServer,
     ShardedStore,
@@ -626,7 +625,7 @@ class TestCrashRecovery:
 
     def test_unopenable_everything_raises_typed(self, store_dir):
         (store_dir / generation_manifest_name(1)).write_text("not json")
-        (store_dir / MANIFEST_NAME).write_text("not json")
+        (store_dir / generation_manifest_name(2)).write_text("not json")
         with pytest.raises(StoreError, match="no openable manifest generation"):
             ShardedStore.open(store_dir)
 
@@ -818,6 +817,21 @@ class TestAdoptionAndRefresh:
             counters = server.metrics_snapshot()["counters"]
             assert counters["server.generation_adoptions"] == 1
             assert counters["cache.invalidations"] >= 1
+
+    def test_server_store_is_the_cache_snapshot(self, store_dir):
+        with PulseServer(open_store(store_dir), cache_capacity=8) as server:
+            first = server.store
+            assert first is server.cache.store
+            with pytest.raises(AttributeError):
+                server.store = first
+            with StoreWriter(store_dir) as writer:
+                key = writer.store.keys()[0]
+                writer.put(key[0], key[1], _recalibrated(writer.store, key))
+                writer.commit()
+            assert server.refresh() is True
+            assert server.store is server.cache.store
+            assert server.store is not first
+            assert server.store.generation == 2
 
 
 class TestVerifyTool:
